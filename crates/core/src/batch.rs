@@ -35,6 +35,7 @@
 //! selection and inner filters are free.
 
 use crate::hvnl::{EntryJoinState, EvictionPolicy, HvnlCounters};
+use crate::kernel::{self, BatchPostings, ProbeCounts};
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
 use crate::topk::TopK;
@@ -44,7 +45,7 @@ use std::time::Instant;
 use textjoin_collection::Document;
 use textjoin_common::{DocId, Error, Result, TermId, SIM_VALUE_BYTES};
 use textjoin_costmodel::Algorithm;
-use textjoin_invfile::{filtered_merge, FnlIndex, InvertedFile, RankCell, TermOrder};
+use textjoin_invfile::{FnlIndex, InvertedFile, TermOrder};
 use textjoin_storage::{IoStats, MemTracker};
 
 /// Tuning knobs for batched execution.
@@ -145,6 +146,45 @@ struct QueryAcc {
     cells_touched: u64,
     skipped_docs: u64,
     skipped_entries: u64,
+}
+
+impl QueryAcc {
+    /// Adds one kernel probe's work.
+    fn add(&mut self, counts: ProbeCounts) {
+        self.sim_ops += counts.sim_ops;
+        self.cells_touched += counts.cells_touched;
+    }
+}
+
+/// One query's share of an HHNL/FNL memory round: its resident outer
+/// documents (ids and λ-heaps, in slot order) and the postings views that
+/// hold their cells. Each query scores through its own views, so its
+/// weighting, filters and counters stay its own.
+struct QueryRound {
+    si: usize,
+    outer: Vec<(DocId, TopK)>,
+    /// Term-keyed for HHNL, rank-keyed for FNL's signature scan.
+    view: BatchPostings,
+    /// FNL with an inner overlay only: the same documents term-keyed, for
+    /// rescoring the overlay's delta documents.
+    overlay_view: Option<BatchPostings>,
+}
+
+/// The round's group for query `si`, opened on first use.
+fn query_round(round: &mut Vec<QueryRound>, si: usize, with_overlay: bool) -> &mut QueryRound {
+    let at = match round.iter().position(|g| g.si == si) {
+        Some(at) => at,
+        None => {
+            round.push(QueryRound {
+                si,
+                outer: Vec::new(),
+                view: BatchPostings::new(),
+                overlay_view: with_overlay.then(BatchPostings::new),
+            });
+            round.len() - 1
+        }
+    };
+    &mut round[at]
 }
 
 /// Per-batch cooperative progress: latches each spec's cancel token at
@@ -328,7 +368,7 @@ pub fn execute_hhnl(specs: &[JoinSpec<'_>]) -> Result<BatchOutcome> {
             pending = None;
         }
         // Fill one memory round with (query, outer document) residents.
-        let mut round: Vec<(usize, DocId, Document, TopK)> = Vec::new();
+        let mut round: Vec<QueryRound> = Vec::new();
         let mut round_bytes = 0u64;
         loop {
             let next = match pending.take() {
@@ -371,26 +411,24 @@ pub fn execute_hhnl(specs: &[JoinSpec<'_>]) -> Result<BatchOutcome> {
                 break;
             }
             round_bytes += need;
-            round.push((si, id, doc, TopK::new(lambda)));
+            let group = query_round(&mut round, si, false);
+            group.view.push(kernel::term_keys(&doc));
+            group.outer.push((id, TopK::new(lambda)));
         }
         if round.is_empty() {
             break;
         }
         passes += 1;
-        let mut present = vec![false; specs.len()];
-        for (si, ..) in &round {
-            present[*si] = true;
-        }
-        for (si, p) in present.into_iter().enumerate() {
-            if p {
-                accs[si].passes += 1;
-            }
+        for group in &round {
+            accs[group.si].passes += 1;
         }
 
         scan_inner_against_round(specs, &mut round, &mut accs, &mut shared_skipped_docs)?;
 
-        for (si, id, _, topk) in round {
-            accs[si].rows.push((id, topk.into_matches()));
+        for group in round {
+            for (id, topk) in group.outer {
+                accs[group.si].rows.push((id, topk.into_matches()));
+            }
         }
         tracker.release(round_bytes);
     }
@@ -411,19 +449,17 @@ pub fn execute_hhnl(specs: &[JoinSpec<'_>]) -> Result<BatchOutcome> {
 }
 
 /// One shared sequential scan of the inner collection, scoring every inner
-/// document against every resident `(query, outer document)` pair under
-/// that query's own weighting and filters. Scoring a pair is independent
-/// of everything else in the round, so each pair's score is bit-identical
-/// to the sequential executor's.
+/// document against each query's resident outer documents through that
+/// query's postings view, weighting and filters. Scoring a pair is
+/// independent of everything else in the round, so each pair's score is
+/// bit-identical to the sequential executor's.
 fn scan_inner_against_round(
     specs: &[JoinSpec<'_>],
-    round: &mut [(usize, DocId, Document, TopK)],
+    round: &mut [QueryRound],
     accs: &mut [QueryAcc],
     shared_skipped_docs: &mut u64,
 ) -> Result<()> {
     let spec0 = &specs[0];
-    let inner_profile = spec0.inner.profile();
-    let outer_profile = spec0.outer.profile();
     // `inner_iter` folds in the shared inner delta (validated identical
     // across the batch): tombstoned base documents are dropped, inserted
     // documents trail the base scan.
@@ -436,24 +472,17 @@ fn scan_inner_against_round(
             }
             Err(e) => return Err(e),
         };
-        for (si, outer_id, outer_doc, topk) in round.iter_mut() {
-            let spec = &specs[*si];
-            if !spec.inner_doc_allowed(inner_id) || !spec.pair_allowed(inner_id, *outer_id) {
-                continue;
-            }
-            let (score, ops, visited) = spec.weighting.score_pair_counted(
+        for group in round.iter_mut() {
+            let spec = &specs[group.si];
+            accs[group.si].add(kernel::score_inner_doc(
+                spec,
+                &mut group.view,
+                &mut group.outer,
                 inner_id,
-                &inner_doc,
-                *outer_id,
-                outer_doc,
-                inner_profile,
-                outer_profile,
-            );
-            accs[*si].sim_ops += ops;
-            accs[*si].cells_touched += visited;
-            if !score.is_zero() {
-                topk.offer(inner_id, score);
-            }
+                kernel::term_keys(&inner_doc),
+                kernel::term_factor(spec),
+                1,
+            ));
         }
     }
     Ok(())
@@ -503,9 +532,10 @@ pub fn execute_fnl(specs: &[JoinSpec<'_>], index: &FnlIndex) -> Result<BatchOutc
         {
             pending = None;
         }
-        // Fill one memory round; each resident carries its rank-cell
-        // encoding alongside the document (kept for overlay rescoring).
-        let mut round: Vec<(usize, DocId, Document, Vec<RankCell>, TopK)> = Vec::new();
+        // Fill one memory round; each resident's rank cells go to its
+        // query's rank-keyed view, and with an inner overlay its raw
+        // cells to the term-keyed view the rescore probes.
+        let mut round: Vec<QueryRound> = Vec::new();
         let mut round_bytes = 0u64;
         loop {
             let next = match pending.take() {
@@ -551,20 +581,19 @@ pub fn execute_fnl(specs: &[JoinSpec<'_>], index: &FnlIndex) -> Result<BatchOutc
                 break;
             }
             round_bytes += need;
-            round.push((si, id, doc, cells, TopK::new(lambda)));
+            let group = query_round(&mut round, si, spec0.inner_delta.is_some());
+            group.view.push(kernel::rank_keys(&cells));
+            if let Some(view) = group.overlay_view.as_mut() {
+                view.push(kernel::term_keys(&doc));
+            }
+            group.outer.push((id, TopK::new(lambda)));
         }
         if round.is_empty() {
             break;
         }
         passes += 1;
-        let mut present = vec![false; specs.len()];
-        for (si, ..) in &round {
-            present[*si] = true;
-        }
-        for (si, p) in present.into_iter().enumerate() {
-            if p {
-                accs[si].passes += 1;
-            }
+        for group in &round {
+            accs[group.si].passes += 1;
         }
 
         scan_signatures_against_round(
@@ -576,8 +605,10 @@ pub fn execute_fnl(specs: &[JoinSpec<'_>], index: &FnlIndex) -> Result<BatchOutc
             &mut shared_skipped_docs,
         )?;
 
-        for (si, id, _, _, topk) in round {
-            accs[si].rows.push((id, topk.into_matches()));
+        for group in round {
+            for (id, topk) in group.outer {
+                accs[group.si].rows.push((id, topk.into_matches()));
+            }
         }
         tracker.release(round_bytes);
     }
@@ -598,21 +629,19 @@ pub fn execute_fnl(specs: &[JoinSpec<'_>], index: &FnlIndex) -> Result<BatchOutc
 }
 
 /// One shared scan of the signature index (followed by one pass over the
-/// shared inner overlay's live documents), running the τ = 1 filtered
-/// merge between every entry and every resident `(query, outer document)`
-/// pair. Per pair the arithmetic is the sequential FNL executor's, so
-/// each pair's score is bit-identical under integer weightings.
+/// shared inner overlay's live documents), scoring every entry against
+/// each query's rank-keyed view at the registered threshold τ = 1. Per
+/// pair the arithmetic is the sequential FNL executor's, so each pair's
+/// score is bit-identical to it.
 fn scan_signatures_against_round(
     specs: &[JoinSpec<'_>],
     index: &FnlIndex,
     order: &TermOrder,
-    round: &mut [(usize, DocId, Document, Vec<RankCell>, TopK)],
+    round: &mut [QueryRound],
     accs: &mut [QueryAcc],
     shared_skipped_docs: &mut u64,
 ) -> Result<()> {
     let spec0 = &specs[0];
-    let inner_profile = spec0.inner.profile();
-    let outer_profile = spec0.outer.profile();
     for item in index.scan() {
         let (inner_id, entry) = match item {
             Ok(pair) => pair,
@@ -622,23 +651,17 @@ fn scan_signatures_against_round(
             }
             Err(e) => return Err(e),
         };
-        for (si, outer_id, _, cells, topk) in round.iter_mut() {
-            let spec = &specs[*si];
-            if !spec.inner_doc_allowed(inner_id) || !spec.pair_allowed(inner_id, *outer_id) {
-                continue;
-            }
-            if let Some((matched, acc, visited)) = filtered_merge(cells, &entry, 1, |rank| {
-                spec.weighting.term_factor(order.term(rank), inner_profile)
-            }) {
-                accs[*si].sim_ops += matched;
-                accs[*si].cells_touched += visited;
-                let score =
-                    spec.weighting
-                        .finalize(acc, inner_profile, inner_id, outer_profile, *outer_id);
-                if !score.is_zero() {
-                    topk.offer(inner_id, score);
-                }
-            }
+        for group in round.iter_mut() {
+            let spec = &specs[group.si];
+            accs[group.si].add(kernel::score_inner_doc(
+                spec,
+                &mut group.view,
+                &mut group.outer,
+                inner_id,
+                kernel::rank_keys(&entry),
+                kernel::rank_factor(spec, order),
+                1,
+            ));
         }
     }
     // The shared inner overlay (validated identical across the batch):
@@ -655,24 +678,21 @@ fn scan_signatures_against_round(
         Err(e) => return Err(e),
     };
     for (inner_id, inner_doc) in docs {
-        for (si, outer_id, outer_doc, _, topk) in round.iter_mut() {
-            let spec = &specs[*si];
-            if !spec.inner_doc_allowed(inner_id) || !spec.pair_allowed(inner_id, *outer_id) {
-                continue;
-            }
-            let (score, ops, visited) = spec.weighting.score_pair_counted(
+        for group in round.iter_mut() {
+            let spec = &specs[group.si];
+            let view = group
+                .overlay_view
+                .as_mut()
+                .expect("rounds open an overlay view when the inner side has an overlay");
+            accs[group.si].add(kernel::score_inner_doc(
+                spec,
+                view,
+                &mut group.outer,
                 inner_id,
-                &inner_doc,
-                *outer_id,
-                outer_doc,
-                inner_profile,
-                outer_profile,
-            );
-            accs[*si].sim_ops += ops;
-            accs[*si].cells_touched += visited;
-            if !score.is_zero() {
-                topk.offer(inner_id, score);
-            }
+                kernel::term_keys(&inner_doc),
+                kernel::term_factor(spec),
+                1,
+            ));
         }
     }
     Ok(())

@@ -4,22 +4,25 @@
 //! inner collection's sequential scan replaced by a scan of the compact
 //! signature index ([`FnlIndex`]). Each signature entry re-encodes a
 //! document's d-cells as `(rank, weight)` pairs in increasing global
-//! rarity rank, so two things get cheaper at once:
+//! rarity rank, so a pass reads the signature file's `Ip` pages instead
+//! of the document store's `D1` pages (signatures gap-code the rank
+//! sequence, typically 40–60% of the store).
 //!
-//! * **I/O** — a pass reads the signature file's `Ip` pages instead of
-//!   the document store's `D1` pages (signatures gap-code the rank
-//!   sequence, typically 40–60% of the store);
-//! * **CPU** — the prefix/position-filtered merge
-//!   ([`filtered_merge`]) abandons a pair as soon as it provably cannot
-//!   reach the overlap threshold, instead of merging both cell lists to
-//!   the end.
+//! In memory a pass scores exactly as HHNL does, through the inverted
+//! batch kernel ([`crate::kernel`]): the resident outer batch's rank
+//! cells become one rank-keyed postings view, each scanned signature
+//! visits only the postings its ranks hit, and a flush applies the
+//! overlap threshold τ before finalizing. A pair survives when it shares
+//! at least τ terms — the same pairs the prefix/position-filtered merge
+//! ([`textjoin_invfile::filtered_merge`]) keeps, summed in the same rank
+//! order. FNL's only edge over HHNL is therefore the pages it reads.
 //!
 //! At the registered threshold τ = 1 the filter is vacuous as a
 //! *predicate* (any pair with at least one common term survives, and a
 //! pair with none scores zero under every weighting), so the surviving
 //! candidates are exactly the nonzero-score pairs HHNL offers to its
 //! λ-heaps — the result is byte-identical to HHNL under integer-valued
-//! weightings, only cheaper to produce. τ > 1 is an executor knob
+//! weightings. τ > 1 is an executor knob
 //! ([`FnlOptions::min_overlap`]) for callers that want a genuine overlap
 //! join; it changes the result by design (pairs below the threshold are
 //! dropped) and is exercised by unit tests, not by the planner.
@@ -29,9 +32,13 @@
 //! (`costmodel::fnl`'s overlay-rescoring term): tombstoned base documents
 //! are masked at probe time via [`JoinSpec::inner_doc_allowed`], and the
 //! overlay's live delta documents are re-read each pass and scored raw
-//! with the spec's weighting — they never have signatures, so the filter
-//! cannot wrongly drop them.
+//! against a term-keyed view of the same batch — they never have
+//! signatures, so rank space cannot wrongly drop their terms. Both paths
+//! count CPU work by one rule: `pruned_pairs` is the allowed pairs whose
+//! overlap falls below τ, and `sim_ops` counts only the pairs that
+//! survive it.
 
+use crate::kernel::{self, BatchPostings, ProbeCounts};
 use crate::report::observe_phase_sim_io;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{Checkpoint, JoinSpec};
@@ -41,7 +48,7 @@ use textjoin_collection::Document;
 use textjoin_common::{DocId, Error, Result};
 use textjoin_costmodel::fnl::RANK_CELL_BYTES;
 use textjoin_costmodel::Algorithm;
-use textjoin_invfile::{filtered_merge, FnlIndex, RankCell, TermOrder};
+use textjoin_invfile::{FnlIndex, TermOrder};
 use textjoin_obs::Tracer;
 use textjoin_storage::MemTracker;
 
@@ -115,8 +122,12 @@ pub fn execute_with(
     loop {
         // Fill the memory batch with outer documents and their rank-cell
         // encodings. The encoding is charged to the budget alongside the
-        // document — the `8·K2/P` term of the cost model's X.
-        let mut batch: Vec<Resident> = Vec::new();
+        // document — the `8·K2/P` term of the cost model's X. The cells
+        // live in the postings views: rank-keyed for the signature scan,
+        // term-keyed (only with an inner overlay) for the rescore.
+        let mut batch: Vec<(DocId, TopK)> = Vec::new();
+        let mut sig_view = BatchPostings::new();
+        let mut overlay_view = spec.inner_delta.map(|_| BatchPostings::new());
         let mut batch_bytes = 0u64;
         loop {
             let item = match pending.take() {
@@ -153,12 +164,11 @@ pub fn execute_with(
                 break;
             }
             batch_bytes += need;
-            batch.push(Resident {
-                id,
-                doc,
-                cells,
-                topk: TopK::new(lambda),
-            });
+            sig_view.push(kernel::rank_keys(&cells));
+            if let Some(view) = overlay_view.as_mut() {
+                view.push(kernel::term_keys(&doc));
+            }
+            batch.push((id, TopK::new(lambda)));
         }
         if batch.is_empty() {
             break;
@@ -169,23 +179,30 @@ pub fn execute_with(
         {
             let mut pass_span = root.child("fnl.sig_scan");
             let pass_io = disk.stats();
-            let ops_before = cpu.sim_ops;
-            let pruned_before = cpu.pruned_pairs;
-            scan_signatures_against(spec, index, &order, &mut batch, opts, &mut cpu)?;
-            rescore_overlay_against(spec, &mut batch, opts, &mut cpu)?;
+            let before = cpu.work;
+            scan_signatures_against(
+                spec,
+                index,
+                &order,
+                &mut sig_view,
+                &mut batch,
+                opts,
+                &mut cpu,
+            )?;
+            rescore_overlay_against(spec, overlay_view.as_mut(), &mut batch, opts, &mut cpu)?;
             if pass_span.is_enabled() {
                 let d = disk.stats().since(&pass_io);
                 pass_span.record("batch_docs", batch.len() as u64);
                 pass_span.record("seq_reads", d.seq_reads);
                 pass_span.record("rand_reads", d.rand_reads);
-                pass_span.record("sim_ops", cpu.sim_ops - ops_before);
-                pass_span.record("pruned_pairs", cpu.pruned_pairs - pruned_before);
+                pass_span.record("sim_ops", cpu.work.sim_ops - before.sim_ops);
+                pass_span.record("pruned_pairs", cpu.work.pruned_pairs - before.pruned_pairs);
                 observe_phase_sim_io(spec.trace, "fnl.sig_scan", &d, spec.sys.alpha);
             }
         }
         passes += 1;
-        for r in batch {
-            rows.push((r.id, r.topk.into_matches()));
+        for (id, topk) in batch {
+            rows.push((id, topk.into_matches()));
         }
         tracker.release(batch_bytes);
         // Watchdog/introspection checkpoint at the same pass granularity
@@ -208,8 +225,8 @@ pub fn execute_with(
         root.record("passes", passes);
         root.record("seq_reads", io.seq_reads);
         root.record("rand_reads", io.rand_reads);
-        root.record("sim_ops", cpu.sim_ops);
-        root.record("pruned_pairs", cpu.pruned_pairs);
+        root.record("sim_ops", cpu.work.sim_ops);
+        root.record("pruned_pairs", cpu.work.pruned_pairs);
         observe_phase_sim_io(spec.trace, "fnl", &io, spec.sys.alpha);
     }
     let stats = ExecStats {
@@ -220,8 +237,8 @@ pub fn execute_with(
         passes,
         entry_fetches: 0,
         cache_hits: 0,
-        sim_ops: cpu.sim_ops,
-        cells_touched: cpu.cells_touched,
+        sim_ops: cpu.work.sim_ops,
+        cells_touched: cpu.work.cells_touched,
         skipped_docs: cpu.skipped_docs,
         skipped_entries: 0,
         wall_ns: started.elapsed().as_nanos() as u64,
@@ -238,37 +255,26 @@ pub fn execute_with(
     })
 }
 
-/// One outer document resident in a memory batch: the raw document (kept
-/// for overlay rescoring), its rank-cell encoding and its λ-heap.
-struct Resident {
-    id: DocId,
-    doc: Document,
-    cells: Vec<RankCell>,
-    topk: TopK,
-}
-
 /// CPU work (and degraded-mode skips) accumulated by an FNL run.
 #[derive(Default)]
 struct CpuCounters {
-    sim_ops: u64,
-    cells_touched: u64,
+    /// Kernel work over both paths; `pruned_pairs` counts the allowed
+    /// pairs below the overlap threshold.
+    work: ProbeCounts,
     skipped_docs: u64,
-    /// Pairs the prefix/position filter abandoned before a full merge.
-    pruned_pairs: u64,
 }
 
-/// One sequential scan of the signature index, running the filtered merge
-/// between every entry and every resident outer document.
+/// One sequential scan of the signature index, scoring every entry
+/// against the batch's rank-keyed postings view.
 fn scan_signatures_against(
     spec: &JoinSpec<'_>,
     index: &FnlIndex,
     order: &TermOrder,
-    batch: &mut [Resident],
+    view: &mut BatchPostings,
+    batch: &mut [(DocId, TopK)],
     opts: FnlOptions,
     cpu: &mut CpuCounters,
 ) -> Result<()> {
-    let inner_profile = spec.inner.profile();
-    let outer_profile = spec.outer.profile();
     for item in index.scan_with_prefetch(spec.prefetch_metrics("fnl_sig_scan")) {
         let (inner_id, entry) = match item {
             Ok(pair) => pair,
@@ -278,51 +284,32 @@ fn scan_signatures_against(
             }
             Err(e) => return Err(e),
         };
-        if !spec.inner_doc_allowed(inner_id) {
-            continue;
-        }
-        for r in batch.iter_mut() {
-            if !spec.pair_allowed(inner_id, r.id) {
-                continue;
-            }
-            // The factor is looked up by rank — `order.term(rank)` maps
-            // back to the term id the weighting knows. Raw-count and
-            // cosine factors are 1, so the lookup stays out of the sum.
-            match filtered_merge(&r.cells, &entry, opts.min_overlap, |rank| {
-                spec.weighting.term_factor(order.term(rank), inner_profile)
-            }) {
-                Some((matched, acc, visited)) => {
-                    cpu.sim_ops += matched;
-                    cpu.cells_touched += visited;
-                    let score =
-                        spec.weighting
-                            .finalize(acc, inner_profile, inner_id, outer_profile, r.id);
-                    if !score.is_zero() {
-                        r.topk.offer(inner_id, score);
-                    }
-                }
-                None => cpu.pruned_pairs += 1,
-            }
-        }
+        cpu.work += kernel::score_inner_doc(
+            spec,
+            view,
+            batch,
+            inner_id,
+            kernel::rank_keys(&entry),
+            kernel::rank_factor(spec, order),
+            opts.min_overlap,
+        );
     }
     Ok(())
 }
 
-/// Scores the inner overlay's live delta documents against the batch from
-/// their raw cells — they have no signatures, so the filter never sees
-/// them and cannot wrongly drop them. The overlap threshold still applies
-/// (the matched-term count comes back as `score_pair_counted`'s `ops`).
+/// Scores the inner overlay's live delta documents against the batch's
+/// term-keyed view from their raw cells — they have no signatures, so
+/// rank space never sees them. The overlap threshold still applies.
 fn rescore_overlay_against(
     spec: &JoinSpec<'_>,
-    batch: &mut [Resident],
+    view: Option<&mut BatchPostings>,
+    batch: &mut [(DocId, TopK)],
     opts: FnlOptions,
     cpu: &mut CpuCounters,
 ) -> Result<()> {
-    let Some(overlay) = spec.inner_delta else {
+    let (Some(overlay), Some(view)) = (spec.inner_delta, view) else {
         return Ok(());
     };
-    let inner_profile = spec.inner.profile();
-    let outer_profile = spec.outer.profile();
     let docs = match overlay.live_docs() {
         Ok(docs) => docs,
         Err(e) if spec.skippable(&e) => {
@@ -332,27 +319,15 @@ fn rescore_overlay_against(
         Err(e) => return Err(e),
     };
     for (inner_id, inner_doc) in docs {
-        if !spec.inner_doc_allowed(inner_id) {
-            continue;
-        }
-        for r in batch.iter_mut() {
-            if !spec.pair_allowed(inner_id, r.id) {
-                continue;
-            }
-            let (score, ops, visited) = spec.weighting.score_pair_counted(
-                inner_id,
-                &inner_doc,
-                r.id,
-                &r.doc,
-                inner_profile,
-                outer_profile,
-            );
-            cpu.sim_ops += ops;
-            cpu.cells_touched += visited;
-            if ops >= opts.min_overlap.max(1) && !score.is_zero() {
-                r.topk.offer(inner_id, score);
-            }
-        }
+        cpu.work += kernel::score_inner_doc(
+            spec,
+            view,
+            batch,
+            inner_id,
+            kernel::term_keys(&inner_doc),
+            kernel::term_factor(spec),
+            opts.min_overlap,
+        );
     }
     Ok(())
 }
@@ -505,6 +480,55 @@ mod tests {
             .unwrap();
         assert!(pruned > 0, "a sparse vocabulary must trip the filter");
         assert!(got.stats.cells_touched > 0);
+    }
+
+    #[test]
+    fn signature_and_overlay_paths_count_cpu_by_one_rule() {
+        // τ = 2 over a base with one tombstone plus six overlay documents:
+        // both the signature scan and the overlay rescore must count
+        // `pruned_pairs` as the allowed pairs below τ and `sim_ops` as the
+        // matched terms of the pairs at or above it.
+        let (_, c1, c2, index, d1, d2) = fixture(25, 15, 10.0, 70, 256);
+        let mut overlay = textjoin_invfile::DeltaOverlay::new();
+        let extra = SynthSpec::from_stats(CollectionStats::new(6, 10.0, 70), 99).generate_docs();
+        for (k, doc) in extra.iter().enumerate() {
+            overlay.insert_tail(DocId::new(25 + k as u32), doc.clone());
+        }
+        overlay.delete(DocId::new(0));
+        let tracer = textjoin_obs::Tracer::enabled(256);
+        let spec = JoinSpec::new(&c1, &c2)
+            .with_inner_delta(&overlay)
+            .with_query(QueryParams::paper_base().with_lambda(4))
+            .with_trace(&tracer);
+        let got = execute_with(&spec, &index, FnlOptions { min_overlap: 2 }).unwrap();
+
+        let inner: Vec<&Document> = d1.iter().skip(1).chain(&extra).collect();
+        let (mut pruned, mut sim_ops) = (0u64, 0u64);
+        for outer in &d2 {
+            for doc in &inner {
+                let overlap = doc
+                    .cells()
+                    .iter()
+                    .filter(|c| outer.weight_of(c.term) > 0)
+                    .count() as u64;
+                if overlap < 2 {
+                    pruned += 1;
+                } else {
+                    sim_ops += overlap;
+                }
+            }
+        }
+        let root = tracer
+            .finished()
+            .into_iter()
+            .find(|s| s.name == "fnl")
+            .expect("root span");
+        assert!(root.fields.contains(&("pruned_pairs", pruned)));
+        assert_eq!(got.stats.sim_ops, sim_ops);
+        assert!(
+            pruned > 0 && sim_ops > 0,
+            "the fixture exercises both sides"
+        );
     }
 
     #[test]

@@ -12,7 +12,15 @@
 //! `X = (B − ⌈S1⌉)/(S2 + 4λ/P)` estimate of section 4.1, except that real
 //! document sizes are used instead of averages, so the budget is *never*
 //! exceeded rather than exceeded on average.
+//!
+//! Within a pass the resident batch is scored through the inverted batch
+//! kernel ([`crate::kernel`]): the batch's cells become one term-keyed
+//! postings view, and each scanned document visits only the postings its
+//! terms hit instead of merging with every resident document. The view
+//! replaces the resident cells, so the memory charge per document is the
+//! same `S2` as above.
 
+use crate::kernel::{self, BatchPostings};
 use crate::report::observe_phase_sim_io;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{Checkpoint, JoinSpec};
@@ -48,8 +56,10 @@ pub fn execute(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
     let mut cancelled = false;
 
     loop {
-        // Fill the memory batch with outer documents.
-        let mut batch: Vec<(DocId, Document, TopK)> = Vec::new();
+        // Fill the memory batch with outer documents; their cells live in
+        // the postings view, their λ-heaps alongside in slot order.
+        let mut batch: Vec<(DocId, TopK)> = Vec::new();
+        let mut view = BatchPostings::new();
         let mut batch_bytes = 0u64;
         loop {
             let item = match pending.take() {
@@ -79,7 +89,8 @@ pub fn execute(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
                 break;
             }
             batch_bytes += need;
-            batch.push((id, doc, TopK::new(lambda)));
+            view.push(kernel::term_keys(&doc));
+            batch.push((id, TopK::new(lambda)));
         }
         if batch.is_empty() {
             break;
@@ -90,7 +101,7 @@ pub fn execute(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
             let mut pass_span = root.child("hhnl.inner_scan");
             let pass_io = disk.stats();
             let ops_before = cpu.sim_ops;
-            scan_inner_against(spec, &mut batch, &mut cpu)?;
+            scan_inner_against(spec, &mut view, &mut batch, &mut cpu)?;
             if pass_span.is_enabled() {
                 let d = disk.stats().since(&pass_io);
                 pass_span.record("batch_docs", batch.len() as u64);
@@ -101,7 +112,7 @@ pub fn execute(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
             }
         }
         passes += 1;
-        for (id, _, topk) in batch {
+        for (id, topk) in batch {
             rows.push((id, topk.into_matches()));
         }
         tracker.release(batch_bytes);
@@ -202,8 +213,10 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
     let outer_profile = spec.outer.profile();
 
     loop {
-        // Fill a batch of inner documents.
-        let mut batch: Vec<(DocId, Document)> = Vec::new();
+        // Fill a batch of inner documents: ids in slot order, cells in
+        // the postings view.
+        let mut batch: Vec<DocId> = Vec::new();
+        let mut view = BatchPostings::new();
         let mut batch_bytes = 0u64;
         loop {
             let item = match pending.take() {
@@ -235,7 +248,8 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
                 break;
             }
             batch_bytes += need;
-            batch.push((id, doc));
+            view.push(kernel::term_keys(&doc));
+            batch.push(id);
         }
         if batch.is_empty() {
             break;
@@ -257,24 +271,24 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
             let heap = heaps
                 .entry(outer_id.raw())
                 .or_insert_with(|| TopK::new(lambda));
-            for (inner_id, inner_doc) in &batch {
-                if !spec.pair_allowed(*inner_id, outer_id) {
-                    continue;
+            // The view is over the inner batch and the outer document is
+            // the probe; the weight product is exact, so each pair sums
+            // exactly as the forward order does.
+            cpu.cells_touched +=
+                view.probe(kernel::term_keys(&outer_doc), kernel::term_factor(spec));
+            view.drain(|slot, acc, hits| {
+                let inner_id = batch[slot];
+                if !spec.pair_allowed(inner_id, outer_id) {
+                    return;
                 }
-                let (score, ops, visited) = spec.weighting.score_pair_counted(
-                    *inner_id,
-                    inner_doc,
-                    outer_id,
-                    &outer_doc,
-                    inner_profile,
-                    outer_profile,
-                );
-                cpu.sim_ops += ops;
-                cpu.cells_touched += visited;
+                cpu.sim_ops += hits;
+                let score =
+                    spec.weighting
+                        .finalize(acc, inner_profile, inner_id, outer_profile, outer_id);
                 if !score.is_zero() {
-                    heap.offer(*inner_id, score);
+                    heap.offer(inner_id, score);
                 }
-            }
+            });
         }
         drop(pass_span);
         tracker.release(batch_bytes);
@@ -344,14 +358,14 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
 }
 
 /// One sequential scan of the inner collection, scoring every inner
-/// document against every batched outer document.
+/// document against the batched outer documents through their postings
+/// view.
 fn scan_inner_against(
     spec: &JoinSpec<'_>,
-    batch: &mut [(DocId, Document, TopK)],
+    view: &mut BatchPostings,
+    batch: &mut [(DocId, TopK)],
     cpu: &mut CpuCounters,
 ) -> Result<()> {
-    let inner_profile = spec.inner.profile();
-    let outer_profile = spec.outer.profile();
     for item in spec.inner_iter() {
         let (inner_id, inner_doc) = match item {
             Ok(pair) => pair,
@@ -361,27 +375,17 @@ fn scan_inner_against(
             }
             Err(e) => return Err(e),
         };
-        if !spec.inner_doc_allowed(inner_id) {
-            continue;
-        }
-        for (outer_id, outer_doc, topk) in batch.iter_mut() {
-            if !spec.pair_allowed(inner_id, *outer_id) {
-                continue;
-            }
-            let (score, ops, visited) = spec.weighting.score_pair_counted(
-                inner_id,
-                &inner_doc,
-                *outer_id,
-                outer_doc,
-                inner_profile,
-                outer_profile,
-            );
-            cpu.sim_ops += ops;
-            cpu.cells_touched += visited;
-            if !score.is_zero() {
-                topk.offer(inner_id, score);
-            }
-        }
+        let counts = kernel::score_inner_doc(
+            spec,
+            view,
+            batch,
+            inner_id,
+            kernel::term_keys(&inner_doc),
+            kernel::term_factor(spec),
+            1,
+        );
+        cpu.sim_ops += counts.sim_ops;
+        cpu.cells_touched += counts.cells_touched;
     }
     Ok(())
 }

@@ -15,8 +15,10 @@
 //!   both inverted files, partitioned into multiple passes when the
 //!   intermediate similarities exceed memory (section 4.3);
 //! * [`fnl`] — Filtered Nested Loops: HHNL's loop over a compact
-//!   rarity-ranked signature index, with a prefix/position filter that
-//!   prunes candidate pairs before they are merged;
+//!   rarity-ranked signature index, dropping pairs below an overlap
+//!   threshold;
+//! * [`kernel`] — inverted batch scoring: the one in-memory kernel every
+//!   HHNL and FNL pass scores its resident batch with;
 //! * [`integrated`] — the section 6.1 integrated algorithm: estimate all
 //!   costs, execute the cheapest;
 //! * [`mod@reference`] — a trivial in-memory scorer used as the correctness
@@ -39,6 +41,7 @@ pub mod fnl;
 pub mod hhnl;
 pub mod hvnl;
 pub mod integrated;
+pub mod kernel;
 pub mod parallel;
 pub mod reference;
 pub mod report;

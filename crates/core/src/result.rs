@@ -91,9 +91,12 @@ pub struct ExecStats {
     pub cache_hits: u64,
     /// CPU work: similarity multiply-add operations performed.
     pub sim_ops: u64,
-    /// CPU work: document/inverted-file cells visited (for HHNL this
-    /// includes the non-matching merge steps — the whole document-term
-    /// matrix; the vertical algorithms only visit non-zero structure).
+    /// CPU work: document/inverted-file cells visited. For HHNL and FNL
+    /// it is the scanned documents' cells walked plus the resident
+    /// batch postings they hit (the inverted batch kernel); HVNL and VVM
+    /// visit one inverted-file cell per multiply-add. Every algorithm
+    /// therefore touches only non-zero structure plus one walk of the
+    /// scanned side per pass.
     pub cells_touched: u64,
     /// Documents skipped because they could not be read (degraded mode
     /// only; zero otherwise).

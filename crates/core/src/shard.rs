@@ -483,22 +483,22 @@ fn execute_doc_sites(
             continue;
         }
         let disk = Arc::new(DiskSim::new(spec.sys.page_size));
-        let (site_inner, site_outer): (SiteDocs<'_>, SiteDocs<'_>) =
-            if algorithm == Algorithm::Fnl {
-                // FNL: the inner subset lives here; the outer side is
-                // replicated (shipped in) wholesale.
-                (
-                    idxs.iter().map(|&i| &inner_docs[i]).collect(),
-                    outer_docs.iter().collect(),
-                )
-            } else {
-                // HHNL/HVNL: the outer slice lives here; the inner side is
-                // spooled in as a replica.
-                (
-                    inner_docs.iter().collect(),
-                    idxs.iter().map(|&i| &outer_docs[i]).collect(),
-                )
-            };
+        let (site_inner, site_outer): (SiteDocs<'_>, SiteDocs<'_>) = if algorithm == Algorithm::Fnl
+        {
+            // FNL: the inner subset lives here; the outer side is
+            // replicated (shipped in) wholesale.
+            (
+                idxs.iter().map(|&i| &inner_docs[i]).collect(),
+                outer_docs.iter().collect(),
+            )
+        } else {
+            // HHNL/HVNL: the outer slice lives here; the inner side is
+            // spooled in as a replica.
+            (
+                inner_docs.iter().collect(),
+                idxs.iter().map(|&i| &outer_docs[i]).collect(),
+            )
+        };
         let inner = build_collection(&disk, "inner", &site_inner)?;
         let outer = build_collection(&disk, "outer", &site_outer)?;
         let inv = if algorithm == Algorithm::Hvnl {

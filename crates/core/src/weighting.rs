@@ -62,7 +62,9 @@ impl Weighting {
     }
 
     /// Scores one pair directly from the two documents by merging their
-    /// sorted cell lists — the inner loop of HHNL.
+    /// sorted cell lists — the per-pair loop the paper describes for
+    /// HHNL. The executors score whole batches through
+    /// [`crate::kernel`] instead; this stays as the pairwise reference.
     pub fn score_pair(
         &self,
         inner_doc_id: DocId,

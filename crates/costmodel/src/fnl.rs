@@ -27,11 +27,10 @@
 //! `ΔD1` is the **false-positive / overlay rescoring term**: documents in
 //! the inner delta overlay are not in the signature index, so every pass
 //! re-reads the flushed delta side file and rescores those documents
-//! through the exact scoring path outside the filter. At the registered
-//! threshold (`τ = 1`) the prefix/position filter is lossless *and*
-//! complete — the candidate set is exactly the non-zero-score pairs — so
-//! base-index false positives cost CPU only, never I/O; the overlay
-//! rescore is the only page bill the filter cannot avoid.
+//! from their raw cells outside the signature scan. At the registered
+//! threshold (`τ = 1`) the overlap filter is lossless *and* complete —
+//! the candidate set is exactly the non-zero-score pairs — so the
+//! overlay rescore is the only page bill beyond the signature scan.
 //!
 //! The λ-dependence is the whole point: HHNL's batch capacity shrinks as
 //! λ grows (4λ/P similarity slots per resident document), multiplying

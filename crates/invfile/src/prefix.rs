@@ -486,6 +486,11 @@ fn append_packed(disk: &DiskSim, file: FileId, bytes: &[u8]) -> Result<()> {
 /// Both prunes are conservative: a `Some` is returned for every pair with
 /// `matched ≥ τ`, so at `τ ≤ 1` the non-`None` results are exactly the
 /// pairs a full merge would score.
+///
+/// The executors no longer call this per pair: they score whole batches
+/// through `textjoin_core::kernel`, whose rank-keyed view keeps the same
+/// pairs with the same sums. This merge stays as the pairwise reference
+/// that kernel is tested against.
 pub fn filtered_merge(
     outer: &[RankCell],
     inner: &[RankCell],
