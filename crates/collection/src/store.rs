@@ -285,8 +285,8 @@ impl DocumentStoreBuilder {
     }
 
     /// Appends a document; its document number is the append position
-    /// (or one past the highest explicit id if [`add_with_id`]
-    /// (Self::add_with_id) has been used).
+    /// (or one past the highest explicit id if
+    /// [`add_with_id`](Self::add_with_id) has been used).
     pub fn add(&mut self, doc: &Document) -> Result<DocId> {
         let next = self.ids.last().map_or(0, |&i| i + 1);
         self.add_with_id(DocId::new(next), doc)

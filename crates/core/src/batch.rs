@@ -7,10 +7,13 @@
 //! both inverted files. The batch engine executes all `N` queries in one
 //! pass over the shared structures:
 //!
-//! * **HHNL** concatenates the queries' outer streams and fills memory
-//!   rounds across query boundaries, so the inner collection is scanned
-//!   `⌈Σᵢ N2ᵢ/Xᵢ⌉` times for the whole batch (`costmodel::hhs_batch`)
-//!   instead of `Σᵢ ⌈N2ᵢ/Xᵢ⌉` times.
+//! * **HHNL** and **FNL** run the nested-loop engine ([`crate::nl`]): it
+//!   concatenates the queries' outer streams and fills memory rounds
+//!   across query boundaries, so the inner collection (or the signature
+//!   file) is scanned `⌈Σᵢ N2ᵢ/Xᵢ⌉` times for the whole batch
+//!   (`costmodel::hhs_batch`) instead of `Σᵢ ⌈N2ᵢ/Xᵢ⌉` times. The
+//!   sequential [`crate::hhnl::execute`] and [`crate::fnl::execute`] are
+//!   the same engine with `N = 1`.
 //! * **HVNL** scans the outer collection once, processing each document
 //!   for every query that selects it against a *single shared entry
 //!   cache* — an entry fetched for one query is a cache hit for the rest.
@@ -35,9 +38,10 @@
 //! selection and inner filters are free.
 
 use crate::hvnl::{EntryJoinState, EvictionPolicy, HvnlCounters};
-use crate::kernel::{self, BatchPostings, ProbeCounts};
+use crate::kernel::ProbeCounts;
+use crate::nl::{self, InnerScan};
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::{JoinSpec, OuterDocs};
+use crate::spec::{Checkpoint, JoinSpec, OuterDocs};
 use crate::topk::TopK;
 use crate::vvm::{self, EntryCursor, ACC_BYTES};
 use std::collections::HashMap;
@@ -45,7 +49,7 @@ use std::time::Instant;
 use textjoin_collection::Document;
 use textjoin_common::{DocId, Error, Result, TermId, SIM_VALUE_BYTES};
 use textjoin_costmodel::Algorithm;
-use textjoin_invfile::{FnlIndex, InvertedFile, TermOrder};
+use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_storage::{IoStats, MemTracker};
 
 /// Tuning knobs for batched execution.
@@ -77,11 +81,23 @@ pub struct BatchOutcome {
     pub stats: ExecStats,
 }
 
+impl BatchOutcome {
+    /// A batch of one as a sequential run reports it: the query's rows
+    /// and quality with the run's full statistics.
+    pub(crate) fn into_single(self) -> JoinOutcome {
+        let [query]: [JoinOutcome; 1] = self.queries.try_into().expect("a batch of one");
+        JoinOutcome {
+            stats: self.stats,
+            ..query
+        }
+    }
+}
+
 /// Checks the batch invariants: non-empty, one collection pair, one set of
 /// system parameters, one degraded flag, one delta overlay per side. The
 /// shared scans serve every query from the same base+delta view, so a
 /// query with a different overlay would see phantom or missing documents.
-fn validate(specs: &[JoinSpec<'_>]) -> Result<()> {
+pub(crate) fn validate(specs: &[JoinSpec<'_>]) -> Result<()> {
     fn same_delta(
         a: Option<&textjoin_invfile::DeltaOverlay>,
         b: Option<&textjoin_invfile::DeltaOverlay>,
@@ -136,97 +152,78 @@ fn outer_participates(spec: &JoinSpec<'_>, id: DocId) -> bool {
 
 /// Per-query accumulation while the batch runs.
 #[derive(Default)]
-struct QueryAcc {
-    rows: Vec<(DocId, Vec<Match>)>,
+pub(crate) struct QueryAcc {
+    pub(crate) rows: Vec<(DocId, Vec<Match>)>,
     /// Rounds / pooled passes this query participated in.
-    passes: u64,
+    pub(crate) passes: u64,
     entry_fetches: u64,
     cache_hits: u64,
-    sim_ops: u64,
-    cells_touched: u64,
-    skipped_docs: u64,
+    pub(crate) sim_ops: u64,
+    pub(crate) cells_touched: u64,
+    pub(crate) skipped_docs: u64,
     skipped_entries: u64,
 }
 
 impl QueryAcc {
     /// Adds one kernel probe's work.
-    fn add(&mut self, counts: ProbeCounts) {
+    pub(crate) fn add(&mut self, counts: ProbeCounts) {
         self.sim_ops += counts.sim_ops;
         self.cells_touched += counts.cells_touched;
     }
 }
 
-/// One query's share of an HHNL/FNL memory round: its resident outer
-/// documents (ids and λ-heaps, in slot order) and the postings views that
-/// hold their cells. Each query scores through its own views, so its
-/// weighting, filters and counters stay its own.
-struct QueryRound {
-    si: usize,
-    outer: Vec<(DocId, TopK)>,
-    /// Term-keyed for HHNL, rank-keyed for FNL's signature scan.
-    view: BatchPostings,
-    /// FNL with an inner overlay only: the same documents term-keyed, for
-    /// rescoring the overlay's delta documents.
-    overlay_view: Option<BatchPostings>,
-}
-
-/// The round's group for query `si`, opened on first use.
-fn query_round(round: &mut Vec<QueryRound>, si: usize, with_overlay: bool) -> &mut QueryRound {
-    let at = match round.iter().position(|g| g.si == si) {
-        Some(at) => at,
-        None => {
-            round.push(QueryRound {
-                si,
-                outer: Vec::new(),
-                view: BatchPostings::new(),
-                overlay_view: with_overlay.then(BatchPostings::new),
-            });
-            round.len() - 1
-        }
-    };
-    &mut round[at]
-}
-
-/// Per-batch cooperative progress: latches each spec's cancel token at
-/// the batch's natural checkpoints and feeds the live tickets. A cancel
-/// is per query — the latched query stops consuming shared passes while
-/// its siblings keep running, results untouched (each sibling's scores
-/// depend only on its own (query, document) pairs, never on what else
-/// shares the scan).
+/// Per-batch cooperative progress: at the batch's natural checkpoints it
+/// feeds the live tickets, latches each spec's cancel token and runs each
+/// live spec's cost-budget watchdog. A cancel is per query — the latched
+/// query stops consuming shared passes while its siblings keep running,
+/// results untouched (each sibling's scores depend only on its own
+/// (query, document) pairs, never on what else shares the scan). A
+/// budget overrun aborts the whole batch with `CostOverrun`, as it aborts
+/// a sequential run.
 ///
-/// Shared-scan I/O cannot be attributed to one query honestly, so each
-/// checkpoint splits the cost delta equally across the queries that are
+/// Ticket pages come from the thread-local I/O tally ([`Checkpoint`]), so
+/// a batch of one inside a parallel worker reports only its own worker's
+/// pages. Shared-scan I/O cannot be attributed to one query honestly, so
+/// each checkpoint splits the delta equally across the queries that are
 /// still live — the tickets' sum tracks the real batch cost and each
 /// query's progress bar still moves.
-struct BatchProgress {
-    cancelled: Vec<bool>,
-    reported: f64,
-    /// Whether any spec carries a token or ticket; when not, `observe`
-    /// is a single branch.
+pub(crate) struct BatchProgress {
+    pub(crate) cancelled: Vec<bool>,
+    tally: Checkpoint,
+    /// Whether any spec carries a token, ticket or budget; when not,
+    /// `observe` is a single branch.
     armed: bool,
 }
 
 impl BatchProgress {
-    fn new(specs: &[JoinSpec<'_>]) -> Self {
+    /// Must be created on the thread that performs the batch's I/O,
+    /// before any of it happens.
+    pub(crate) fn new(specs: &[JoinSpec<'_>]) -> Self {
         Self {
             cancelled: vec![false; specs.len()],
-            reported: 0.0,
+            tally: Checkpoint::new(),
             armed: specs
                 .iter()
-                .any(|s| s.cancel.is_some() || s.ticket.is_some()),
+                .any(|s| s.cancel.is_some() || s.ticket.is_some() || s.cost_budget.is_some()),
         }
     }
 
-    /// One checkpoint: feed tickets, latch freshly-set tokens. Returns
-    /// `true` when every query in the batch is cancelled — the caller
-    /// stops the shared scan entirely.
-    fn observe(&mut self, specs: &[JoinSpec<'_>], cost: f64, phase: impl Fn() -> String) -> bool {
+    /// One checkpoint: feed tickets, latch freshly-set tokens, then check
+    /// the budgets of the queries still live against `cost`, the batch's
+    /// running page cost on the shared disk. Returns `true` when every
+    /// query in the batch is cancelled — the caller stops the shared scan
+    /// entirely.
+    pub(crate) fn observe(
+        &mut self,
+        specs: &[JoinSpec<'_>],
+        cost: f64,
+        phase: impl Fn() -> String,
+    ) -> Result<bool> {
         if !self.armed {
-            return false;
+            return Ok(false);
         }
         let live = self.cancelled.iter().filter(|c| !**c).count().max(1) as f64;
-        let share = (cost - self.reported).max(0.0) / live;
-        self.reported = self.reported.max(cost);
+        let share = self.tally.take_pages(specs[0].sys.alpha) / live;
         for (i, spec) in specs.iter().enumerate() {
             if self.cancelled[i] {
                 continue;
@@ -237,9 +234,11 @@ impl BatchProgress {
             }
             if spec.cancel.is_some_and(|c| c.is_cancelled()) {
                 self.cancelled[i] = true;
+            } else {
+                spec.check_cost_budget(cost)?;
             }
         }
-        self.cancelled.iter().all(|&c| c)
+        Ok(self.cancelled.iter().all(|&c| c))
     }
 }
 
@@ -250,7 +249,7 @@ impl BatchProgress {
 /// cancelled query's rows are the prefix it accumulated before its token
 /// was latched, tagged `Partial`.
 #[allow(clippy::too_many_arguments)]
-fn finish(
+pub(crate) fn finish(
     algorithm: Algorithm,
     alpha: f64,
     accs: Vec<QueryAcc>,
@@ -322,380 +321,26 @@ fn finish(
     }
 }
 
-/// Batched HHNL: one concatenated outer stream, memory rounds that may
-/// span query boundaries, one inner-collection scan per round.
+/// Batched HHNL: memory rounds filled across query boundaries, one
+/// shared inner-collection scan per round (the nested-loop engine,
+/// [`crate::nl`], over the document store).
 pub fn execute_hhnl(specs: &[JoinSpec<'_>]) -> Result<BatchOutcome> {
-    validate(specs)?;
-    let started = Instant::now();
-    let spec0 = &specs[0];
-    let disk = spec0.inner.store().disk();
-    let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec0.sys);
-
-    // Room to hold one inner document at a time during the shared scan.
-    let inner_doc_bytes = spec0.inner.store().max_doc_bytes().max(1);
-    tracker.allocate(inner_doc_bytes, "batch HHNL inner document slot")?;
-
-    let mut accs: Vec<QueryAcc> = specs.iter().map(|_| QueryAcc::default()).collect();
-    let mut shared_skipped_docs = 0u64;
-    let mut passes = 0u64;
-
-    // The concatenated outer stream: query 0's outer documents, then query
-    // 1's, and so on. A round that has room left after one query's stream
-    // ends keeps filling from the next — that is where the pooled
-    // ⌈Σ N2ᵢ/Xᵢ⌉ saving over Σ ⌈N2ᵢ/Xᵢ⌉ comes from.
-    let mut outers: Vec<_> = specs.iter().map(|s| s.outer_iter()).collect();
-    let mut next_spec = 0usize;
-    let mut pending: Option<(usize, DocId, Document)> = None;
-    let mut progress = BatchProgress::new(specs);
-
-    loop {
-        // Round boundaries are the batch's cooperative checkpoints: a
-        // freshly-latched query's outer stream stops feeding rounds here
-        // (its held pending document included), while siblings fill the
-        // freed space.
-        if progress.observe(
-            specs,
-            disk.stats().since(&start_io).cost(spec0.sys.alpha),
-            || format!("hhnl.batch.round {}", passes + 1),
-        ) {
-            break;
-        }
-        if pending
-            .as_ref()
-            .is_some_and(|(si, ..)| progress.cancelled[*si])
-        {
-            pending = None;
-        }
-        // Fill one memory round with (query, outer document) residents.
-        let mut round: Vec<QueryRound> = Vec::new();
-        let mut round_bytes = 0u64;
-        loop {
-            let next = match pending.take() {
-                Some(t) => Some(t),
-                None => {
-                    let mut pulled = None;
-                    while next_spec < specs.len() {
-                        if progress.cancelled[next_spec] {
-                            next_spec += 1;
-                            continue;
-                        }
-                        match outers[next_spec].next() {
-                            None => next_spec += 1,
-                            Some(Ok((id, doc))) => {
-                                pulled = Some((next_spec, id, doc));
-                                break;
-                            }
-                            Some(Err(e)) if specs[next_spec].skippable(&e) => {
-                                accs[next_spec].skipped_docs += 1;
-                            }
-                            Some(Err(e)) => return Err(e),
-                        }
-                    }
-                    pulled
-                }
-            };
-            let Some((si, id, doc)) = next else { break };
-            let lambda = specs[si].query.lambda;
-            let need = doc.size_bytes().max(1) + TopK::budget_bytes(lambda);
-            if tracker.allocate(need, "batch HHNL outer round").is_err() {
-                if round.is_empty() {
-                    return Err(Error::InsufficientMemory {
-                        context: "batch HHNL cannot hold even one outer document".into(),
-                        required_pages: (inner_doc_bytes + need)
-                            .div_ceil(spec0.sys.page_size as u64),
-                        available_pages: spec0.sys.buffer_pages,
-                    });
-                }
-                pending = Some((si, id, doc));
-                break;
-            }
-            round_bytes += need;
-            let group = query_round(&mut round, si, false);
-            group.view.push(kernel::term_keys(&doc));
-            group.outer.push((id, TopK::new(lambda)));
-        }
-        if round.is_empty() {
-            break;
-        }
-        passes += 1;
-        for group in &round {
-            accs[group.si].passes += 1;
-        }
-
-        scan_inner_against_round(specs, &mut round, &mut accs, &mut shared_skipped_docs)?;
-
-        for group in round {
-            for (id, topk) in group.outer {
-                accs[group.si].rows.push((id, topk.into_matches()));
-            }
-        }
-        tracker.release(round_bytes);
-    }
-
-    let io = disk.stats().since(&start_io);
-    Ok(finish(
-        Algorithm::Hhnl,
-        spec0.sys.alpha,
-        accs,
-        &progress.cancelled,
-        io,
-        passes,
-        tracker.high_water(),
-        shared_skipped_docs,
-        0,
-        started,
-    ))
+    nl::run(specs, InnerScan::Store)
 }
 
-/// One shared sequential scan of the inner collection, scoring every inner
-/// document against each query's resident outer documents through that
-/// query's postings view, weighting and filters. Scoring a pair is
-/// independent of everything else in the round, so each pair's score is
-/// bit-identical to the sequential executor's.
-fn scan_inner_against_round(
-    specs: &[JoinSpec<'_>],
-    round: &mut [QueryRound],
-    accs: &mut [QueryAcc],
-    shared_skipped_docs: &mut u64,
-) -> Result<()> {
-    let spec0 = &specs[0];
-    // `inner_iter` folds in the shared inner delta (validated identical
-    // across the batch): tombstoned base documents are dropped, inserted
-    // documents trail the base scan.
-    for item in spec0.inner_iter() {
-        let (inner_id, inner_doc) = match item {
-            Ok(pair) => pair,
-            Err(e) if spec0.skippable(&e) => {
-                *shared_skipped_docs += 1;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        for group in round.iter_mut() {
-            let spec = &specs[group.si];
-            accs[group.si].add(kernel::score_inner_doc(
-                spec,
-                &mut group.view,
-                &mut group.outer,
-                inner_id,
-                kernel::term_keys(&inner_doc),
-                kernel::term_factor(spec),
-                1,
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Batched FNL: the HHNL pooling applied to the signature index — one
-/// concatenated outer stream, memory rounds spanning query boundaries,
-/// one signature scan (plus one overlay rescore) per round. The
-/// term-ordering sidecar is loaded once for the whole batch
+/// Batched FNL: the HHNL pooling applied to the signature index, with the
+/// term-ordering sidecar loaded once for the whole batch
 /// (`costmodel::fns_batch`'s shared-sidecar saving). Every query runs at
 /// the registered threshold τ = 1, so each result is byte-identical to
 /// its sequential FNL (and HHNL) run under integer-valued weightings.
 pub fn execute_fnl(specs: &[JoinSpec<'_>], index: &FnlIndex) -> Result<BatchOutcome> {
-    validate(specs)?;
-    let started = Instant::now();
-    let spec0 = &specs[0];
-    let disk = spec0.inner.store().disk();
-    let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec0.sys);
-
-    // The sidecar is read once and shared by every query of the batch.
-    let order = index.read_term_order()?;
-    tracker.allocate(index.meta_bytes().max(1), "batch FNL term-order sidecar")?;
-    let entry_bytes = index.max_entry_bytes().max(1);
-    tracker.allocate(entry_bytes, "batch FNL signature entry slot")?;
-
-    let mut accs: Vec<QueryAcc> = specs.iter().map(|_| QueryAcc::default()).collect();
-    let mut shared_skipped_docs = 0u64;
-    let mut passes = 0u64;
-
-    let mut outers: Vec<_> = specs.iter().map(|s| s.outer_iter()).collect();
-    let mut next_spec = 0usize;
-    let mut pending: Option<(usize, DocId, Document)> = None;
-    let mut progress = BatchProgress::new(specs);
-
-    loop {
-        if progress.observe(
-            specs,
-            disk.stats().since(&start_io).cost(spec0.sys.alpha),
-            || format!("fnl.batch.round {}", passes + 1),
-        ) {
-            break;
-        }
-        if pending
-            .as_ref()
-            .is_some_and(|(si, ..)| progress.cancelled[*si])
-        {
-            pending = None;
-        }
-        // Fill one memory round; each resident's rank cells go to its
-        // query's rank-keyed view, and with an inner overlay its raw
-        // cells to the term-keyed view the rescore probes.
-        let mut round: Vec<QueryRound> = Vec::new();
-        let mut round_bytes = 0u64;
-        loop {
-            let next = match pending.take() {
-                Some(t) => Some(t),
-                None => {
-                    let mut pulled = None;
-                    while next_spec < specs.len() {
-                        if progress.cancelled[next_spec] {
-                            next_spec += 1;
-                            continue;
-                        }
-                        match outers[next_spec].next() {
-                            None => next_spec += 1,
-                            Some(Ok((id, doc))) => {
-                                pulled = Some((next_spec, id, doc));
-                                break;
-                            }
-                            Some(Err(e)) if specs[next_spec].skippable(&e) => {
-                                accs[next_spec].skipped_docs += 1;
-                            }
-                            Some(Err(e)) => return Err(e),
-                        }
-                    }
-                    pulled
-                }
-            };
-            let Some((si, id, doc)) = next else { break };
-            let lambda = specs[si].query.lambda;
-            let cells = order.rank_cells(&doc);
-            let need = doc.size_bytes().max(1)
-                + (textjoin_costmodel::fnl::RANK_CELL_BYTES * cells.len()) as u64
-                + TopK::budget_bytes(lambda);
-            if tracker.allocate(need, "batch FNL outer round").is_err() {
-                if round.is_empty() {
-                    return Err(Error::InsufficientMemory {
-                        context: "batch FNL cannot hold even one outer document".into(),
-                        required_pages: (index.meta_bytes() + entry_bytes + need)
-                            .div_ceil(spec0.sys.page_size as u64),
-                        available_pages: spec0.sys.buffer_pages,
-                    });
-                }
-                pending = Some((si, id, doc));
-                break;
-            }
-            round_bytes += need;
-            let group = query_round(&mut round, si, spec0.inner_delta.is_some());
-            group.view.push(kernel::rank_keys(&cells));
-            if let Some(view) = group.overlay_view.as_mut() {
-                view.push(kernel::term_keys(&doc));
-            }
-            group.outer.push((id, TopK::new(lambda)));
-        }
-        if round.is_empty() {
-            break;
-        }
-        passes += 1;
-        for group in &round {
-            accs[group.si].passes += 1;
-        }
-
-        scan_signatures_against_round(
-            specs,
+    nl::run(
+        specs,
+        InnerScan::Signatures {
             index,
-            &order,
-            &mut round,
-            &mut accs,
-            &mut shared_skipped_docs,
-        )?;
-
-        for group in round {
-            for (id, topk) in group.outer {
-                accs[group.si].rows.push((id, topk.into_matches()));
-            }
-        }
-        tracker.release(round_bytes);
-    }
-
-    let io = disk.stats().since(&start_io);
-    Ok(finish(
-        Algorithm::Fnl,
-        spec0.sys.alpha,
-        accs,
-        &progress.cancelled,
-        io,
-        passes,
-        tracker.high_water(),
-        shared_skipped_docs,
-        0,
-        started,
-    ))
-}
-
-/// One shared scan of the signature index (followed by one pass over the
-/// shared inner overlay's live documents), scoring every entry against
-/// each query's rank-keyed view at the registered threshold τ = 1. Per
-/// pair the arithmetic is the sequential FNL executor's, so each pair's
-/// score is bit-identical to it.
-fn scan_signatures_against_round(
-    specs: &[JoinSpec<'_>],
-    index: &FnlIndex,
-    order: &TermOrder,
-    round: &mut [QueryRound],
-    accs: &mut [QueryAcc],
-    shared_skipped_docs: &mut u64,
-) -> Result<()> {
-    let spec0 = &specs[0];
-    for item in index.scan() {
-        let (inner_id, entry) = match item {
-            Ok(pair) => pair,
-            Err(e) if spec0.skippable(&e) => {
-                *shared_skipped_docs += 1;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        for group in round.iter_mut() {
-            let spec = &specs[group.si];
-            accs[group.si].add(kernel::score_inner_doc(
-                spec,
-                &mut group.view,
-                &mut group.outer,
-                inner_id,
-                kernel::rank_keys(&entry),
-                kernel::rank_factor(spec, order),
-                1,
-            ));
-        }
-    }
-    // The shared inner overlay (validated identical across the batch):
-    // delta documents have no signatures and are scored raw.
-    let Some(overlay) = spec0.inner_delta else {
-        return Ok(());
-    };
-    let docs = match overlay.live_docs() {
-        Ok(docs) => docs,
-        Err(e) if spec0.skippable(&e) => {
-            *shared_skipped_docs += 1;
-            return Ok(());
-        }
-        Err(e) => return Err(e),
-    };
-    for (inner_id, inner_doc) in docs {
-        for group in round.iter_mut() {
-            let spec = &specs[group.si];
-            let view = group
-                .overlay_view
-                .as_mut()
-                .expect("rounds open an overlay view when the inner side has an overlay");
-            accs[group.si].add(kernel::score_inner_doc(
-                spec,
-                view,
-                &mut group.outer,
-                inner_id,
-                kernel::term_keys(&inner_doc),
-                kernel::term_factor(spec),
-                1,
-            ));
-        }
-    }
-    Ok(())
+            min_overlap: 1,
+        },
+    )
 }
 
 /// Batched HVNL: one outer pass, every query served from one shared entry
@@ -807,7 +452,7 @@ pub fn execute_hvnl(
                 specs,
                 disk.stats().since(&start_io).cost(spec0.sys.alpha),
                 || format!("hvnl.batch.doc {docs_done}"),
-            ) {
+            )? {
                 break;
             }
             docs_done += 1;
@@ -858,7 +503,7 @@ pub fn execute_hvnl(
                 specs,
                 disk.stats().since(&start_io).cost(spec0.sys.alpha),
                 || format!("hvnl.batch.doc {docs_done}"),
-            ) {
+            )? {
                 break;
             }
             docs_done += 1;
@@ -866,6 +511,13 @@ pub fn execute_hvnl(
         }
     }
     drop(state);
+    // A closing checkpoint prices the last document's fetches, as the
+    // sequential executor's per-document checkpoint does.
+    progress.observe(
+        specs,
+        disk.stats().since(&start_io).cost(spec0.sys.alpha),
+        || format!("hvnl.batch.doc {docs_done}"),
+    )?;
 
     for (a, c) in accs.iter_mut().zip(&counters) {
         a.passes = 1;
@@ -994,7 +646,7 @@ fn run_vvm(
             specs,
             disk.stats().since(&start_io).cost(spec0.sys.alpha),
             || format!("vvm.batch.pass {}", passes + 1),
-        ) {
+        )? {
             break;
         }
         let chunks: Vec<&[DocId]> = outer_ids
@@ -1057,6 +709,13 @@ fn run_vvm(
         }
         tracker.release(acc_bytes);
     }
+    // A closing checkpoint prices the last pass, as the sequential
+    // executor's per-pass checkpoint does.
+    progress.observe(
+        specs,
+        disk.stats().since(&start_io).cost(spec0.sys.alpha),
+        || format!("vvm.batch.pass {passes}"),
+    )?;
 
     let io = disk.stats().since(&start_io);
     Ok(finish(
@@ -1535,6 +1194,89 @@ mod tests {
                 );
                 assert_eq!(got.queries[i].quality, ResultQuality::Full, "{name} {i}");
             }
+        }
+    }
+
+    #[test]
+    fn a_live_specs_cost_budget_aborts_every_batch_algorithm() {
+        let f = fixture(30, 25, 10.0, 60, 256, 23);
+        let index = FnlIndex::build(Arc::clone(&f.disk), "c1", &f.c1).unwrap();
+        let base = JoinSpec::new(&f.c1, &f.c2).with_sys(sys(400, 256));
+        let run = |specs: &[JoinSpec<'_>]| {
+            [
+                ("hhnl", execute_hhnl(specs)),
+                (
+                    "hvnl",
+                    execute_hvnl(specs, &f.inv1, BatchOptions::default()),
+                ),
+                ("vvm", execute_vvm(specs, &f.inv1, &f.inv2)),
+                ("fnl", execute_fnl(specs, &index)),
+            ]
+        };
+        // A sub-page budget on one query of two cannot survive the
+        // batch's checkpoints, just as it aborts a sequential run.
+        for (name, got) in run(&[base, base.with_cost_budget(0.5)]) {
+            assert!(
+                matches!(got, Err(Error::CostOverrun { .. })),
+                "{name}: {got:?}"
+            );
+        }
+        // The watchdog guards live queries only: once the over-budget
+        // query is cancelled, its siblings finish.
+        let token = textjoin_obs::CancelToken::new();
+        token.cancel();
+        let cancelled = base.with_cost_budget(0.5).with_cancel(&token);
+        for (name, got) in run(&[base, cancelled]) {
+            let got = got.unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(got.queries[0].quality, ResultQuality::Full, "{name}");
+            assert_eq!(got.queries[1].quality, ResultQuality::Partial, "{name}");
+        }
+    }
+
+    #[test]
+    fn nested_loop_batches_trace_every_round() {
+        let f = fixture(30, 20, 10.0, 60, 128, 55);
+        let index = FnlIndex::build(Arc::clone(&f.disk), "c1", &f.c1).unwrap();
+        for (root_name, scan_name) in [("hhnl", "hhnl.inner_scan"), ("fnl", "fnl.sig_scan")] {
+            let registry = Arc::new(textjoin_obs::Registry::new());
+            let tracer = textjoin_obs::Tracer::with_registry(1_024, Arc::clone(&registry));
+            let base = JoinSpec::new(&f.c1, &f.c2)
+                .with_sys(sys(12, 128))
+                .with_query(QueryParams::paper_base().with_lambda(3))
+                .with_trace(&tracer);
+            let specs = vec![base; 3];
+            let batch = match root_name {
+                "hhnl" => execute_hhnl(&specs),
+                _ => execute_fnl(&specs, &index),
+            }
+            .unwrap();
+            assert!(batch.stats.passes > 1, "{root_name}: several rounds");
+
+            let spans = tracer.finished();
+            let root = spans.iter().find(|s| s.name == root_name).expect("root");
+            assert!(root.fields.contains(&("passes", batch.stats.passes)));
+            let scans: Vec<_> = spans.iter().filter(|s| s.name == scan_name).collect();
+            assert_eq!(scans.len() as u64, batch.stats.passes, "{root_name}");
+            let scan_reads: u64 = scans
+                .iter()
+                .flat_map(|s| &s.fields)
+                .filter(|(k, _)| *k == "seq_reads" || *k == "rand_reads")
+                .map(|(_, v)| v)
+                .sum();
+            assert!(
+                scan_reads > 0 && scan_reads <= batch.stats.io.total_reads(),
+                "{root_name}: scans read {scan_reads} of {}",
+                batch.stats.io.total_reads()
+            );
+            // The shared scan reports its readahead like a sequential run.
+            let label = match root_name {
+                "hhnl" => "inner_scan",
+                _ => "fnl_sig_scan",
+            };
+            assert!(
+                registry.counter("prefetch.issued", label).get() > 0,
+                "{label}"
+            );
         }
     }
 

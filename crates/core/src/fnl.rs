@@ -2,7 +2,8 @@
 //!
 //! The fourth registered algorithm: HHNL's batched nested loop, with the
 //! inner collection's sequential scan replaced by a scan of the compact
-//! signature index ([`FnlIndex`]). Each signature entry re-encodes a
+//! signature index ([`FnlIndex`]). FNL has no executor of its own: it is
+//! the nested-loop engine ([`crate::nl`]) over the signature source. Each signature entry re-encodes a
 //! document's d-cells as `(rank, weight)` pairs in increasing global
 //! rarity rank, so a pass reads the signature file's `Ip` pages instead
 //! of the document store's `D1` pages (signatures gap-code the rank
@@ -38,19 +39,11 @@
 //! overlap falls below τ, and `sim_ops` counts only the pairs that
 //! survive it.
 
-use crate::kernel::{self, BatchPostings, ProbeCounts};
-use crate::report::observe_phase_sim_io;
-use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::{Checkpoint, JoinSpec};
-use crate::topk::TopK;
-use std::time::Instant;
-use textjoin_collection::Document;
-use textjoin_common::{DocId, Error, Result};
-use textjoin_costmodel::fnl::RANK_CELL_BYTES;
-use textjoin_costmodel::Algorithm;
-use textjoin_invfile::{FnlIndex, TermOrder};
-use textjoin_obs::Tracer;
-use textjoin_storage::MemTracker;
+use crate::nl::{self, InnerScan};
+use crate::result::JoinOutcome;
+use crate::spec::JoinSpec;
+use textjoin_common::Result;
+use textjoin_invfile::FnlIndex;
 
 /// Tuning knobs for the filtered executor.
 #[derive(Clone, Copy, Debug)]
@@ -72,274 +65,29 @@ pub fn execute(spec: &JoinSpec<'_>, index: &FnlIndex) -> Result<JoinOutcome> {
     execute_with(spec, index, FnlOptions::default())
 }
 
-/// [`execute`] with explicit options.
+/// [`execute`] with explicit options: the nested-loop engine
+/// ([`crate::nl`]) over the signature file, as a batch of one.
 pub fn execute_with(
     spec: &JoinSpec<'_>,
     index: &FnlIndex,
     opts: FnlOptions,
 ) -> Result<JoinOutcome> {
-    let started = Instant::now();
-    let mut root = Tracer::maybe(spec.trace, "fnl");
-    let disk = spec.inner.store().disk();
-    let start_io = disk.stats();
-    // Constructed at the same point as the stats baseline, so the ticket's
-    // thread-local tally covers the setup I/O (the term-order sidecar load
-    // below) that the first checkpoint reports.
-    let mut progress = Checkpoint::new();
-    let tracker = MemTracker::new(&spec.sys);
-    let lambda = spec.query.lambda;
-
-    // Phase 1: load the term-ordering sidecar (real page I/O — the
-    // `meta_pages` term of the cost model) and pin it for the whole run.
-    let order = {
-        let mut span = root.child("fnl.term_order");
-        let before = disk.stats();
-        let order = index.read_term_order()?;
-        if span.is_enabled() {
-            let d = disk.stats().since(&before);
-            span.record("terms", order.len() as u64);
-            span.record("seq_reads", d.seq_reads);
-            span.record("rand_reads", d.rand_reads);
-            observe_phase_sim_io(spec.trace, "fnl.term_order", &d, spec.sys.alpha);
-        }
-        order
-    };
-    tracker.allocate(index.meta_bytes().max(1), "FNL term-order sidecar")?;
-
-    // Room to hold one signature entry at a time during the scan.
-    let entry_bytes = index.max_entry_bytes().max(1);
-    tracker.allocate(entry_bytes, "FNL signature entry slot")?;
-
-    let mut outer = spec.outer_iter();
-    // A document pulled from the stream that did not fit the previous
-    // batch; it leads the next one.
-    let mut pending: Option<(DocId, Document)> = None;
-    let mut rows: Vec<(DocId, Vec<Match>)> = Vec::new();
-    let mut passes = 0u64;
-    let mut cpu = CpuCounters::default();
-    let mut cancelled = false;
-
-    loop {
-        // Fill the memory batch with outer documents and their rank-cell
-        // encodings. The encoding is charged to the budget alongside the
-        // document — the `8·K2/P` term of the cost model's X. The cells
-        // live in the postings views: rank-keyed for the signature scan,
-        // term-keyed (only with an inner overlay) for the rescore.
-        let mut batch: Vec<(DocId, TopK)> = Vec::new();
-        let mut sig_view = BatchPostings::new();
-        let mut overlay_view = spec.inner_delta.map(|_| BatchPostings::new());
-        let mut batch_bytes = 0u64;
-        loop {
-            let item = match pending.take() {
-                Some(p) => Some(Ok(p)),
-                None => outer.next(),
-            };
-            let Some(item) = item else { break };
-            let (id, doc) = match item {
-                Ok(pair) => pair,
-                Err(e) if spec.skippable(&e) => {
-                    cpu.skipped_docs += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            // Outer terms absent from the inner base collection carry no
-            // rank and are dropped here: they cannot match any signature
-            // entry, and overlay documents are scored from the raw cells,
-            // so the drop loses nothing.
-            let cells = order.rank_cells(&doc);
-            let need = doc.size_bytes().max(1)
-                + (RANK_CELL_BYTES * cells.len()) as u64
-                + TopK::budget_bytes(lambda);
-            if tracker.allocate(need, "FNL outer batch").is_err() {
-                if batch.is_empty() {
-                    return Err(Error::InsufficientMemory {
-                        context: "FNL cannot hold even one outer document".into(),
-                        required_pages: (index.meta_bytes() + entry_bytes + need)
-                            .div_ceil(spec.sys.page_size as u64),
-                        available_pages: spec.sys.buffer_pages,
-                    });
-                }
-                pending = Some((id, doc));
-                break;
-            }
-            batch_bytes += need;
-            sig_view.push(kernel::rank_keys(&cells));
-            if let Some(view) = overlay_view.as_mut() {
-                view.push(kernel::term_keys(&doc));
-            }
-            batch.push((id, TopK::new(lambda)));
-        }
-        if batch.is_empty() {
-            break;
-        }
-
-        // One pass over the signature index (plus the overlay's live
-        // delta documents) for this batch.
-        {
-            let mut pass_span = root.child("fnl.sig_scan");
-            let pass_io = disk.stats();
-            let before = cpu.work;
-            scan_signatures_against(
-                spec,
-                index,
-                &order,
-                &mut sig_view,
-                &mut batch,
-                opts,
-                &mut cpu,
-            )?;
-            rescore_overlay_against(spec, overlay_view.as_mut(), &mut batch, opts, &mut cpu)?;
-            if pass_span.is_enabled() {
-                let d = disk.stats().since(&pass_io);
-                pass_span.record("batch_docs", batch.len() as u64);
-                pass_span.record("seq_reads", d.seq_reads);
-                pass_span.record("rand_reads", d.rand_reads);
-                pass_span.record("sim_ops", cpu.work.sim_ops - before.sim_ops);
-                pass_span.record("pruned_pairs", cpu.work.pruned_pairs - before.pruned_pairs);
-                observe_phase_sim_io(spec.trace, "fnl.sig_scan", &d, spec.sys.alpha);
-            }
-        }
-        passes += 1;
-        for (id, topk) in batch {
-            rows.push((id, topk.into_matches()));
-        }
-        tracker.release(batch_bytes);
-        // Watchdog/introspection checkpoint at the same pass granularity
-        // as HHNL; each pass costs roughly Ip pages.
-        match spec.checkpoint(
-            &mut progress,
-            disk.stats().since(&start_io).cost(spec.sys.alpha),
-            || format!("fnl.pass {passes}"),
-        ) {
-            Err(Error::Cancelled { .. }) => {
-                cancelled = true;
-                break;
-            }
-            other => other?,
-        }
-    }
-
-    let io = disk.stats().since(&start_io);
-    if root.is_enabled() {
-        root.record("passes", passes);
-        root.record("seq_reads", io.seq_reads);
-        root.record("rand_reads", io.rand_reads);
-        root.record("sim_ops", cpu.work.sim_ops);
-        root.record("pruned_pairs", cpu.work.pruned_pairs);
-        observe_phase_sim_io(spec.trace, "fnl", &io, spec.sys.alpha);
-    }
-    let stats = ExecStats {
-        algorithm: Algorithm::Fnl,
-        io,
-        cost: io.cost(spec.sys.alpha),
-        mem_high_water_bytes: tracker.high_water(),
-        passes,
-        entry_fetches: 0,
-        cache_hits: 0,
-        sim_ops: cpu.work.sim_ops,
-        cells_touched: cpu.work.cells_touched,
-        skipped_docs: cpu.skipped_docs,
-        skipped_entries: 0,
-        wall_ns: started.elapsed().as_nanos() as u64,
-    };
-    let quality = if cancelled {
-        ResultQuality::Partial
-    } else {
-        stats.quality()
-    };
-    Ok(JoinOutcome {
-        result: JoinResult::from_rows(rows),
-        quality,
-        stats,
-    })
-}
-
-/// CPU work (and degraded-mode skips) accumulated by an FNL run.
-#[derive(Default)]
-struct CpuCounters {
-    /// Kernel work over both paths; `pruned_pairs` counts the allowed
-    /// pairs below the overlap threshold.
-    work: ProbeCounts,
-    skipped_docs: u64,
-}
-
-/// One sequential scan of the signature index, scoring every entry
-/// against the batch's rank-keyed postings view.
-fn scan_signatures_against(
-    spec: &JoinSpec<'_>,
-    index: &FnlIndex,
-    order: &TermOrder,
-    view: &mut BatchPostings,
-    batch: &mut [(DocId, TopK)],
-    opts: FnlOptions,
-    cpu: &mut CpuCounters,
-) -> Result<()> {
-    for item in index.scan_with_prefetch(spec.prefetch_metrics("fnl_sig_scan")) {
-        let (inner_id, entry) = match item {
-            Ok(pair) => pair,
-            Err(e) if spec.skippable(&e) => {
-                cpu.skipped_docs += 1;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        cpu.work += kernel::score_inner_doc(
-            spec,
-            view,
-            batch,
-            inner_id,
-            kernel::rank_keys(&entry),
-            kernel::rank_factor(spec, order),
-            opts.min_overlap,
-        );
-    }
-    Ok(())
-}
-
-/// Scores the inner overlay's live delta documents against the batch's
-/// term-keyed view from their raw cells — they have no signatures, so
-/// rank space never sees them. The overlap threshold still applies.
-fn rescore_overlay_against(
-    spec: &JoinSpec<'_>,
-    view: Option<&mut BatchPostings>,
-    batch: &mut [(DocId, TopK)],
-    opts: FnlOptions,
-    cpu: &mut CpuCounters,
-) -> Result<()> {
-    let (Some(overlay), Some(view)) = (spec.inner_delta, view) else {
-        return Ok(());
-    };
-    let docs = match overlay.live_docs() {
-        Ok(docs) => docs,
-        Err(e) if spec.skippable(&e) => {
-            cpu.skipped_docs += 1;
-            return Ok(());
-        }
-        Err(e) => return Err(e),
-    };
-    for (inner_id, inner_doc) in docs {
-        cpu.work += kernel::score_inner_doc(
-            spec,
-            view,
-            batch,
-            inner_id,
-            kernel::term_keys(&inner_doc),
-            kernel::term_factor(spec),
-            opts.min_overlap,
-        );
-    }
-    Ok(())
+    let min_overlap = opts.min_overlap;
+    nl::run_one(spec, InnerScan::Signatures { index, min_overlap })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::naive_join;
+    use crate::result::JoinResult;
     use crate::spec::OuterDocs;
     use std::sync::Arc;
+    use textjoin_collection::Document;
     use textjoin_collection::{Collection, SynthSpec};
     use textjoin_common::{CollectionStats, QueryParams, SystemParams};
+    use textjoin_common::{DocId, Error};
+    use textjoin_costmodel::Algorithm;
     use textjoin_storage::DiskSim;
 
     #[allow(clippy::type_complexity)]

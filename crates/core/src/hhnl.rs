@@ -19,11 +19,17 @@
 //! terms hit instead of merging with every resident document. The view
 //! replaces the resident cells, so the memory charge per document is the
 //! same `S2` as above.
+//!
+//! The forward order is the nested-loop engine ([`crate::nl`]) over the
+//! inner document store, run for one query; batched HHNL is the same
+//! engine for N queries.
 
+use crate::batch::{self, BatchProgress, QueryAcc};
 use crate::kernel::{self, BatchPostings};
+use crate::nl::{self, InnerScan};
 use crate::report::observe_phase_sim_io;
-use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::{Checkpoint, JoinSpec};
+use crate::result::{JoinOutcome, Match};
+use crate::spec::JoinSpec;
 use crate::topk::TopK;
 use std::time::Instant;
 use textjoin_collection::Document;
@@ -32,147 +38,10 @@ use textjoin_costmodel::Algorithm;
 use textjoin_obs::Tracer;
 use textjoin_storage::MemTracker;
 
-/// Executes the join with HHNL.
+/// Executes the join with HHNL: the nested-loop engine ([`crate::nl`])
+/// over the inner document store, as a batch of one.
 pub fn execute(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
-    let started = Instant::now();
-    let mut root = Tracer::maybe(spec.trace, "hhnl");
-    let disk = spec.inner.store().disk();
-    let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec.sys);
-    let lambda = spec.query.lambda;
-
-    // Reserve room to hold one inner document at a time during the scan.
-    let inner_doc_bytes = spec.inner.store().max_doc_bytes().max(1);
-    tracker.allocate(inner_doc_bytes, "HHNL inner document slot")?;
-
-    let mut outer = spec.outer_iter();
-    // A document pulled from the stream that did not fit the previous
-    // batch; it leads the next one.
-    let mut pending: Option<(DocId, Document)> = None;
-    let mut rows: Vec<(DocId, Vec<Match>)> = Vec::new();
-    let mut passes = 0u64;
-    let mut cpu = CpuCounters::default();
-    let mut progress = Checkpoint::new();
-    let mut cancelled = false;
-
-    loop {
-        // Fill the memory batch with outer documents; their cells live in
-        // the postings view, their λ-heaps alongside in slot order.
-        let mut batch: Vec<(DocId, TopK)> = Vec::new();
-        let mut view = BatchPostings::new();
-        let mut batch_bytes = 0u64;
-        loop {
-            let item = match pending.take() {
-                Some(p) => Some(Ok(p)),
-                None => outer.next(),
-            };
-            let Some(item) = item else { break };
-            let (id, doc) = match item {
-                Ok(pair) => pair,
-                Err(e) if spec.skippable(&e) => {
-                    cpu.skipped_docs += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let need = doc.size_bytes().max(1) + TopK::budget_bytes(lambda);
-            if tracker.allocate(need, "HHNL outer batch").is_err() {
-                if batch.is_empty() {
-                    return Err(Error::InsufficientMemory {
-                        context: "HHNL cannot hold even one outer document".into(),
-                        required_pages: (inner_doc_bytes + need)
-                            .div_ceil(spec.sys.page_size as u64),
-                        available_pages: spec.sys.buffer_pages,
-                    });
-                }
-                pending = Some((id, doc));
-                break;
-            }
-            batch_bytes += need;
-            view.push(kernel::term_keys(&doc));
-            batch.push((id, TopK::new(lambda)));
-        }
-        if batch.is_empty() {
-            break;
-        }
-
-        // One pass over the inner collection for this batch.
-        {
-            let mut pass_span = root.child("hhnl.inner_scan");
-            let pass_io = disk.stats();
-            let ops_before = cpu.sim_ops;
-            scan_inner_against(spec, &mut view, &mut batch, &mut cpu)?;
-            if pass_span.is_enabled() {
-                let d = disk.stats().since(&pass_io);
-                pass_span.record("batch_docs", batch.len() as u64);
-                pass_span.record("seq_reads", d.seq_reads);
-                pass_span.record("rand_reads", d.rand_reads);
-                pass_span.record("sim_ops", cpu.sim_ops - ops_before);
-                observe_phase_sim_io(spec.trace, "hhnl.inner_scan", &d, spec.sys.alpha);
-            }
-        }
-        passes += 1;
-        for (id, topk) in batch {
-            rows.push((id, topk.into_matches()));
-        }
-        tracker.release(batch_bytes);
-        // Watchdog/introspection checkpoint: a pass boundary is the natural
-        // granularity — each pass costs roughly D1 pages, so drift is
-        // visible early. A cancel winds the run down here with the rows
-        // scored so far; budget overruns still propagate as errors.
-        match spec.checkpoint(
-            &mut progress,
-            disk.stats().since(&start_io).cost(spec.sys.alpha),
-            || format!("hhnl.pass {passes}"),
-        ) {
-            Err(Error::Cancelled { .. }) => {
-                cancelled = true;
-                break;
-            }
-            other => other?,
-        }
-    }
-
-    let io = disk.stats().since(&start_io);
-    if root.is_enabled() {
-        root.record("passes", passes);
-        root.record("seq_reads", io.seq_reads);
-        root.record("rand_reads", io.rand_reads);
-        root.record("sim_ops", cpu.sim_ops);
-        observe_phase_sim_io(spec.trace, "hhnl", &io, spec.sys.alpha);
-    }
-    let stats = ExecStats {
-        algorithm: Algorithm::Hhnl,
-        io,
-        cost: io.cost(spec.sys.alpha),
-        mem_high_water_bytes: tracker.high_water(),
-        passes,
-        entry_fetches: 0,
-        cache_hits: 0,
-        sim_ops: cpu.sim_ops,
-        cells_touched: cpu.cells_touched,
-        skipped_docs: cpu.skipped_docs,
-        skipped_entries: 0,
-        wall_ns: started.elapsed().as_nanos() as u64,
-    };
-    let quality = if cancelled {
-        ResultQuality::Partial
-    } else {
-        stats.quality()
-    };
-    Ok(JoinOutcome {
-        result: JoinResult::from_rows(rows),
-        quality,
-        stats,
-    })
-}
-
-/// CPU work (and degraded-mode skips) accumulated by an HHNL run.
-#[derive(Default)]
-struct CpuCounters {
-    sim_ops: u64,
-    cells_touched: u64,
-    skipped_docs: u64,
+    nl::run_one(spec, InnerScan::Store)
 }
 
 /// Executes the join with HHNL in the *backward order* of section 4.1: the
@@ -206,9 +75,8 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
     let mut inner = spec.inner_iter();
     let mut pending: Option<(DocId, Document)> = None;
     let mut passes = 0u64;
-    let mut cpu = CpuCounters::default();
-    let mut progress = Checkpoint::new();
-    let mut cancelled = false;
+    let mut work = QueryAcc::default();
+    let mut progress = BatchProgress::new(std::slice::from_ref(spec));
     let inner_profile = spec.inner.profile();
     let outer_profile = spec.outer.profile();
 
@@ -224,13 +92,8 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
                 None => inner.next(),
             };
             let Some(item) = item else { break };
-            let (id, doc) = match item {
-                Ok(pair) => pair,
-                Err(e) if spec.skippable(&e) => {
-                    cpu.skipped_docs += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
+            let Some((id, doc)) = nl::readable(spec, item, &mut work.skipped_docs)? else {
+                continue;
             };
             if !spec.inner_doc_allowed(id) {
                 continue;
@@ -260,13 +123,9 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
         let mut pass_span = root.child("hhnl.outer_scan");
         pass_span.record("batch_docs", batch.len() as u64);
         for item in spec.outer_iter() {
-            let (outer_id, outer_doc) = match item {
-                Ok(pair) => pair,
-                Err(e) if spec.skippable(&e) => {
-                    cpu.skipped_docs += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
+            let Some((outer_id, outer_doc)) = nl::readable(spec, item, &mut work.skipped_docs)?
+            else {
+                continue;
             };
             let heap = heaps
                 .entry(outer_id.raw())
@@ -274,14 +133,14 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
             // The view is over the inner batch and the outer document is
             // the probe; the weight product is exact, so each pair sums
             // exactly as the forward order does.
-            cpu.cells_touched +=
+            work.cells_touched +=
                 view.probe(kernel::term_keys(&outer_doc), kernel::term_factor(spec));
             view.drain(|slot, acc, hits| {
                 let inner_id = batch[slot];
                 if !spec.pair_allowed(inner_id, outer_id) {
                     return;
                 }
-                cpu.sim_ops += hits;
+                work.sim_ops += hits;
                 let score =
                     spec.weighting
                         .finalize(acc, inner_profile, inner_id, outer_profile, outer_id);
@@ -292,18 +151,14 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
         }
         drop(pass_span);
         tracker.release(batch_bytes);
-        // Watchdog/introspection checkpoint at the same pass granularity
-        // as the forward order.
-        match spec.checkpoint(
-            &mut progress,
+        // Watchdog/introspection checkpoint at pass granularity, by the
+        // forward order's progress rule.
+        if progress.observe(
+            std::slice::from_ref(spec),
             disk.stats().since(&start_io).cost(spec.sys.alpha),
             || format!("hhnl.backward.pass {passes}"),
-        ) {
-            Err(Error::Cancelled { .. }) => {
-                cancelled = true;
-                break;
-            }
-            other => other?,
+        )? {
+            break;
         }
     }
 
@@ -315,10 +170,8 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
         .collect();
     if rows.is_empty() && num_outer > 0 {
         for item in spec.outer_iter() {
-            match item {
-                Ok((outer_id, _)) => rows.push((outer_id, Vec::new())),
-                Err(e) if spec.skippable(&e) => cpu.skipped_docs += 1,
-                Err(e) => return Err(e),
+            if let Some((outer_id, _)) = nl::readable(spec, item, &mut work.skipped_docs)? {
+                rows.push((outer_id, Vec::new()));
             }
         }
     }
@@ -328,66 +181,24 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
         root.record("passes", passes);
         root.record("seq_reads", io.seq_reads);
         root.record("rand_reads", io.rand_reads);
-        root.record("sim_ops", cpu.sim_ops);
+        root.record("sim_ops", work.sim_ops);
         observe_phase_sim_io(spec.trace, "hhnl.backward", &io, spec.sys.alpha);
     }
-    let stats = ExecStats {
-        algorithm: Algorithm::Hhnl,
+    work.passes = passes;
+    work.rows = rows;
+    Ok(batch::finish(
+        Algorithm::Hhnl,
+        spec.sys.alpha,
+        vec![work],
+        &progress.cancelled,
         io,
-        cost: io.cost(spec.sys.alpha),
-        mem_high_water_bytes: tracker.high_water(),
         passes,
-        entry_fetches: 0,
-        cache_hits: 0,
-        sim_ops: cpu.sim_ops,
-        cells_touched: cpu.cells_touched,
-        skipped_docs: cpu.skipped_docs,
-        skipped_entries: 0,
-        wall_ns: started.elapsed().as_nanos() as u64,
-    };
-    let quality = if cancelled {
-        ResultQuality::Partial
-    } else {
-        stats.quality()
-    };
-    Ok(JoinOutcome {
-        result: JoinResult::from_rows(rows),
-        quality,
-        stats,
-    })
-}
-
-/// One sequential scan of the inner collection, scoring every inner
-/// document against the batched outer documents through their postings
-/// view.
-fn scan_inner_against(
-    spec: &JoinSpec<'_>,
-    view: &mut BatchPostings,
-    batch: &mut [(DocId, TopK)],
-    cpu: &mut CpuCounters,
-) -> Result<()> {
-    for item in spec.inner_iter() {
-        let (inner_id, inner_doc) = match item {
-            Ok(pair) => pair,
-            Err(e) if spec.skippable(&e) => {
-                cpu.skipped_docs += 1;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        let counts = kernel::score_inner_doc(
-            spec,
-            view,
-            batch,
-            inner_id,
-            kernel::term_keys(&inner_doc),
-            kernel::term_factor(spec),
-            1,
-        );
-        cpu.sim_ops += counts.sim_ops;
-        cpu.cells_touched += counts.cells_touched;
-    }
-    Ok(())
+        tracker.high_water(),
+        0,
+        0,
+        started,
+    )
+    .into_single())
 }
 
 #[cfg(test)]

@@ -136,12 +136,12 @@ impl BatchPostings {
 }
 
 /// A document's cells as term-keyed `(key, weight)` pairs.
-pub fn term_keys(doc: &Document) -> impl Iterator<Item = (u32, u16)> + '_ {
+pub fn term_keys(doc: &Document) -> impl Iterator<Item = (u32, u16)> + Clone + '_ {
     doc.cells().iter().map(|c| (c.term.raw(), c.weight))
 }
 
 /// Rank cells as rank-keyed `(key, weight)` pairs.
-pub fn rank_keys(cells: &[RankCell]) -> impl Iterator<Item = (u32, u16)> + '_ {
+pub fn rank_keys(cells: &[RankCell]) -> impl Iterator<Item = (u32, u16)> + Clone + '_ {
     cells.iter().map(|c| (c.rank, c.weight))
 }
 

@@ -17,6 +17,9 @@
 //! * [`fnl`] — Filtered Nested Loops: HHNL's loop over a compact
 //!   rarity-ranked signature index, dropping pairs below an overlap
 //!   threshold;
+//! * [`nl`] — the nested-loop engine: the one round loop that runs HHNL
+//!   and FNL, sequential (one query) and batched (N queries) alike, over
+//!   the document store or the signature file;
 //! * [`kernel`] — inverted batch scoring: the one in-memory kernel every
 //!   HHNL and FNL pass scores its resident batch with;
 //! * [`integrated`] — the section 6.1 integrated algorithm: estimate all
@@ -42,6 +45,7 @@ pub mod hhnl;
 pub mod hvnl;
 pub mod integrated;
 pub mod kernel;
+pub mod nl;
 pub mod parallel;
 pub mod reference;
 pub mod report;

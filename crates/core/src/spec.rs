@@ -98,10 +98,11 @@ pub struct JoinSpec<'a> {
     pub ticket: Option<&'a QueryTicket>,
 }
 
-/// Per-run progress tracker for [`JoinSpec::checkpoint`]: snapshots the
-/// *thread-local* I/O tally at construction and remembers how much has
-/// already been reported, so ticket updates are non-negative deltas of
-/// the pages **this thread** caused. Parallel workers share one disk —
+/// Per-run progress tracker for [`JoinSpec::checkpoint`] and the batch
+/// engine's per-query checkpoints: snapshots the *thread-local* I/O
+/// tally at construction and remembers how much has already been
+/// reported, so ticket updates are non-negative deltas of the pages
+/// **this thread** caused. Parallel workers share one disk —
 /// the global tally includes sibling traffic — but the thread-local
 /// mirrors partition it exactly, so per-worker delta streams interleave
 /// into a monotone, non-double-counted sum on the shared ticket.
@@ -119,6 +120,15 @@ impl Checkpoint {
             base: DiskSim::thread_io_stats(),
             reported: 0.0,
         }
+    }
+
+    /// This thread's page cost (`seq + α·rand`) since the previous call,
+    /// never negative.
+    pub(crate) fn take_pages(&mut self, alpha: f64) -> f64 {
+        let own = DiskSim::thread_io_stats().since(&self.base).cost(alpha);
+        let delta = (own - self.reported).max(0.0);
+        self.reported = self.reported.max(own);
+        delta
     }
 }
 
@@ -256,11 +266,7 @@ impl<'a> JoinSpec<'a> {
         phase: impl FnOnce() -> String,
     ) -> Result<()> {
         if let Some(ticket) = self.ticket {
-            let own = DiskSim::thread_io_stats()
-                .since(&progress.base)
-                .cost(self.sys.alpha);
-            ticket.add_pages(own - progress.reported);
-            progress.reported = progress.reported.max(own);
+            ticket.add_pages(progress.take_pages(self.sys.alpha));
             ticket.set_phase(phase());
         }
         if self.cancel.is_some_and(|c| c.is_cancelled()) {

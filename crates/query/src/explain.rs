@@ -168,7 +168,7 @@ pub struct DriftRow {
     /// Signed percent error `(measured − predicted) / predicted · 100`,
     /// when both sides are available, the prediction is finite and at
     /// least one page, and the measurement is non-zero (see
-    /// [`drift_ratio`]); withheld and rendered as `n/a` otherwise.
+    /// `drift_ratio`); withheld and rendered as `n/a` otherwise.
     pub percent_error: Option<f64>,
 }
 
@@ -200,7 +200,7 @@ pub struct CalibratedDrift {
     /// The prediction after the profile's correction factor.
     pub calibrated: f64,
     /// Drift of the raw prediction vs the measured cost (guards of
-    /// [`drift_ratio`] apply), `None` when the algorithm did not run.
+    /// `drift_ratio` apply), `None` when the algorithm did not run.
     pub drift_raw: Option<f64>,
     /// Drift of the calibrated prediction vs the same measurement.
     pub drift_calibrated: Option<f64>,
@@ -222,7 +222,7 @@ pub struct ShardDrift {
     /// Measured pages shipped to or from this site.
     pub measured_shipped: u64,
     /// Signed percent error of the local prediction (guards of
-    /// [`drift_ratio`] apply).
+    /// `drift_ratio` apply).
     pub drift_pct: Option<f64>,
     /// Whether this site had to skip unreadable data.
     pub quality: ResultQuality,

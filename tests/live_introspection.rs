@@ -189,6 +189,41 @@ fn preset_cancel_is_observed_within_one_checkpoint() {
     }
 }
 
+/// Outer-partitioned workers share one ticket. Each worker feeds it the
+/// pages its own thread read, so the ticket ends within a page of the
+/// merged stats' cost: no worker counts a sibling's traffic.
+#[test]
+fn shared_ticket_across_outer_partitioned_workers_matches_merged_cost() {
+    let f = fixture(13);
+    for alg in [Algorithm::Hhnl, Algorithm::Fnl] {
+        let live = LiveRegistry::new();
+        let base = JoinSpec::new(&f.c1, &f.c2)
+            .with_sys(f.sys)
+            .with_query(QueryParams::paper_base().with_lambda(3));
+        let guard = live.register(
+            "parallel",
+            "c1 ⋈ c2",
+            alg.to_string(),
+            predicted(&f, &base, alg),
+            None,
+            2,
+        );
+        let spec = base.with_ticket(guard.ticket());
+        let outcome = match alg {
+            Algorithm::Hhnl => textjoin::core::parallel::execute_hhnl(&spec, 2),
+            _ => textjoin::core::parallel::execute_fnl(&spec, &f.fnl1, 2),
+        }
+        .unwrap();
+        assert_eq!(outcome.quality, ResultQuality::Full, "{alg}");
+        let ticket_pages = guard.ticket().pages();
+        assert!(
+            ticket_pages > 0.0 && (ticket_pages - outcome.stats.cost).abs() <= 1.0,
+            "{alg}: ticket saw {ticket_pages} pages, merged stats say {}",
+            outcome.stats.cost
+        );
+    }
+}
+
 /// The SQL layer registers a ticket per query, reports Full on a clean
 /// run, and the registry is empty again afterwards (RAII deregistration).
 #[test]
