@@ -38,13 +38,12 @@
 //! selection and inner filters are free.
 
 use crate::hvnl::{EntryJoinState, EvictionPolicy, HvnlCounters};
-use crate::kernel::ProbeCounts;
+use crate::kernel::{ProbeCounts, SimRows};
 use crate::nl::{self, InnerScan};
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{Checkpoint, JoinSpec, OuterDocs};
 use crate::topk::TopK;
-use crate::vvm::{self, EntryCursor, ACC_BYTES};
-use std::collections::HashMap;
+use crate::vvm::{self, EntryCursor, Repartitions, ACC_BYTES};
 use std::time::Instant;
 use textjoin_collection::Document;
 use textjoin_common::{DocId, Error, Result, TermId, SIM_VALUE_BYTES};
@@ -275,6 +274,7 @@ pub(crate) fn finish(
         skipped_docs: shared_skipped_docs,
         skipped_entries: shared_skipped_entries,
         wall_ns,
+        ..ExecStats::zero(algorithm)
     };
     for a in &accs {
         batch_stats.entry_fetches += a.entry_fetches;
@@ -290,10 +290,6 @@ pub(crate) fn finish(
         .zip(cancelled)
         .map(|(a, &was_cancelled)| {
             let stats = ExecStats {
-                algorithm,
-                io: IoStats::default(),
-                cost: 0.0,
-                mem_high_water_bytes: 0,
                 passes: a.passes,
                 entry_fetches: a.entry_fetches,
                 cache_hits: a.cache_hits,
@@ -302,6 +298,7 @@ pub(crate) fn finish(
                 skipped_docs: a.skipped_docs,
                 skipped_entries: a.skipped_entries,
                 wall_ns,
+                ..ExecStats::zero(algorithm)
             };
             let quality = if was_cancelled || shared_partial {
                 ResultQuality::Partial
@@ -378,7 +375,14 @@ pub fn execute_hvnl(
         .unwrap_or(0);
     tracker.allocate(max_entry.max(1), "batch HVNL current entry buffer")?;
 
-    let mut state = EntryJoinState::new(inner_inv, dict, &tracker, options.eviction, None);
+    let mut state = EntryJoinState::new(
+        inner_inv,
+        dict,
+        &tracker,
+        options.eviction,
+        None,
+        spec0.inner_id_bound(),
+    );
     // Aggregate demand estimate for the eviction key: the term's outer
     // document frequency summed over every query that can actually use the
     // entry (a query whose weighting zeroes the term contributes nothing).
@@ -556,13 +560,20 @@ pub fn execute_vvm(
     let outer_ids: Vec<Vec<DocId>> = specs.iter().map(|s| s.outer_live_ids()).collect();
     let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
 
+    let disk = specs[0].inner.store().disk();
     let mut partitions = estimate_batch_partitions(specs, inner_inv, outer_inv, &outer_ids)?;
+    let mut retries = Repartitions::default();
     loop {
+        let before = disk.stats();
         match run_vvm(specs, inner_inv, outer_inv, &outer_ids, partitions, started) {
-            Ok(outcome) => return Ok(outcome),
+            Ok(mut outcome) => {
+                retries.record(&mut outcome.stats);
+                return Ok(outcome);
+            }
             Err(Error::InsufficientMemory { .. }) if partitions < max_len => {
                 // Pooled δ estimate undershot; re-partition more finely,
                 // exactly like the sequential executor.
+                retries.note(disk.stats().since(&before).cost(specs[0].sys.alpha));
                 partitions = (partitions * 2).min(max_len);
             }
             Err(e) => return Err(e),
@@ -636,6 +647,12 @@ fn run_vvm(
     let mut passes = 0u64;
     let mut shared_skipped_entries = 0u64;
     let mut progress = BatchProgress::new(specs);
+    // One accumulator table per query, reused by every pass.
+    let mut sims: Vec<SimRows> = specs
+        .iter()
+        .map(|s| SimRows::new(s.inner_id_bound()))
+        .collect();
+    let mut sim_ops = vec![0u64; specs.len()];
 
     for k in 0..partitions.max(1) as usize {
         // Pooled passes are the checkpoints: a latched query contributes
@@ -672,8 +689,6 @@ fn run_vvm(
             }
         }
 
-        let mut sim: Vec<HashMap<u32, HashMap<u32, f64>>> =
-            specs.iter().map(|_| HashMap::new()).collect();
         let inner_cur = EntryCursor::new(
             vvm::merged_entries(
                 inner_inv.scan_with_prefetch(spec0.prefetch_metrics("inv1")),
@@ -694,20 +709,24 @@ fn run_vvm(
             spec0,
             &mut shared_skipped_entries,
         )?;
-        let acc_bytes = batch_merge_accumulate(
+        vvm::merge_accumulate(
             specs,
             inner_cur,
             outer_cur,
             &chunks,
             &tracker,
-            &mut sim,
-            &mut accs,
+            &mut sims,
+            &mut sim_ops,
             &mut shared_skipped_entries,
         )?;
         for (si, spec) in specs.iter().enumerate() {
-            vvm::emit_chunk(spec, chunks[si], &sim[si], &mut accs[si].rows);
+            tracker.release(sims[si].nonzero() * ACC_BYTES);
+            vvm::emit_chunk(spec, chunks[si], &mut sims[si], &mut accs[si].rows);
         }
-        tracker.release(acc_bytes);
+    }
+    for (a, &ops) in accs.iter_mut().zip(&sim_ops) {
+        a.sim_ops = ops;
+        a.cells_touched = ops;
     }
     // A closing checkpoint prices the last pass, as the sequential
     // executor's per-pass checkpoint does.
@@ -730,80 +749,6 @@ fn run_vvm(
         shared_skipped_entries,
         started,
     ))
-}
-
-/// One term-ordered merge over the two entry streams, filling one
-/// accumulator map per query. Per (term, pair) the arithmetic is the
-/// sequential `merge_accumulate`'s, applied under each query's own
-/// weighting and filters — per-pair sums are independent across queries,
-/// which is what makes the folded scan result-identical.
-#[allow(clippy::too_many_arguments)]
-fn batch_merge_accumulate<I1, I2>(
-    specs: &[JoinSpec<'_>],
-    mut inner_cur: EntryCursor<I1>,
-    mut outer_cur: EntryCursor<I2>,
-    chunks: &[&[DocId]],
-    tracker: &MemTracker,
-    sim: &mut [HashMap<u32, HashMap<u32, f64>>],
-    accs: &mut [QueryAcc],
-    skipped_entries: &mut u64,
-) -> Result<u64>
-where
-    I1: Iterator<Item = Result<(TermId, Vec<textjoin_common::ICell>)>>,
-    I2: Iterator<Item = Result<(TermId, Vec<textjoin_common::ICell>)>>,
-{
-    let spec0 = &specs[0];
-    let inner_profile = spec0.inner.profile();
-    let mut acc_bytes = 0u64;
-    while let (Some(inner_term), Some(outer_term)) = (inner_cur.term(), outer_cur.term()) {
-        match inner_term.cmp(&outer_term) {
-            std::cmp::Ordering::Less => inner_cur.advance(spec0, skipped_entries)?,
-            std::cmp::Ordering::Greater => outer_cur.advance(spec0, skipped_entries)?,
-            std::cmp::Ordering::Equal => {
-                let Some((term, inner_cells)) = inner_cur.take_current() else {
-                    break;
-                };
-                let Some((_, outer_cells)) = outer_cur.take_current() else {
-                    break;
-                };
-                inner_cur.advance(spec0, skipped_entries)?;
-                outer_cur.advance(spec0, skipped_entries)?;
-                for (si, spec) in specs.iter().enumerate() {
-                    let factor = spec.weighting.term_factor(term, inner_profile);
-                    if factor == 0.0 {
-                        continue;
-                    }
-                    for oc in &outer_cells {
-                        if chunks[si].binary_search(&oc.doc).is_err() {
-                            continue;
-                        }
-                        let per_outer = sim[si].entry(oc.doc.raw()).or_default();
-                        for ic in &inner_cells {
-                            if !spec.inner_doc_allowed(ic.doc) || !spec.pair_allowed(ic.doc, oc.doc)
-                            {
-                                continue;
-                            }
-                            accs[si].sim_ops += 1;
-                            accs[si].cells_touched += 1;
-                            let contribution = oc.weight as f64 * ic.weight as f64 * factor;
-                            match per_outer.entry(ic.doc.raw()) {
-                                std::collections::hash_map::Entry::Occupied(mut e) => {
-                                    *e.get_mut() += contribution;
-                                }
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    tracker
-                                        .allocate(ACC_BYTES, "batch VVM similarity accumulators")?;
-                                    acc_bytes += ACC_BYTES;
-                                    e.insert(contribution);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(acc_bytes)
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 //! largest-intersection order is available as the ablation the paper
 //! discusses (and warns about: it turns the outer scan into random I/O).
 
+use crate::kernel::{Added, SimRows};
 use crate::report::observe_phase_sim_io;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{Checkpoint, JoinSpec};
@@ -121,7 +122,14 @@ pub fn execute_with(
             r.histogram("hvnl.entry_fetch_ns", "", &LATENCY_BOUNDS_NS),
         )
     });
-    let mut state = EntryJoinState::new(inner_inv, dict, &tracker, options.eviction, lookup_hists);
+    let mut state = EntryJoinState::new(
+        inner_inv,
+        dict,
+        &tracker,
+        options.eviction,
+        lookup_hists,
+        spec.inner_id_bound(),
+    );
     // A single query keys evictions by its own outer document frequencies
     // (the batch engine substitutes aggregate demand here).
     let insert_df = |t: TermId| u64::from(spec.outer.profile().doc_frequency(t));
@@ -250,7 +258,6 @@ pub fn execute_with(
         observe_phase_sim_io(spec.trace, "hvnl", &io, spec.sys.alpha);
     }
     let stats = ExecStats {
-        algorithm: Algorithm::Hvnl,
         io,
         cost: io.cost(spec.sys.alpha),
         mem_high_water_bytes: tracker.high_water(),
@@ -263,6 +270,7 @@ pub fn execute_with(
         skipped_docs,
         skipped_entries,
         wall_ns: started.elapsed().as_nanos() as u64,
+        ..ExecStats::zero(Algorithm::Hvnl)
     };
     let quality = if cancelled {
         ResultQuality::Partial
@@ -321,10 +329,10 @@ pub(crate) struct EntryJoinState<'b> {
     dict: textjoin_invfile::Dictionary,
     tracker: &'b MemTracker,
     cache: EntryCache,
-    /// Non-zero similarity accumulators for the current (outer document,
-    /// query) pair: inner doc → weighted sum. Cleared after each call to
-    /// [`Self::process_outer_doc`].
-    accumulators: HashMap<u32, f64>,
+    /// Similarity accumulators of the current (outer document, query)
+    /// pair: one slot, one sum per inner document. Drained after each call
+    /// to [`Self::process_outer_doc`].
+    sims: SimRows,
     acc_bytes: u64,
     /// Inner-delta postings, materialized with one sequential scan of the
     /// flushed side file on first use instead of a random read per outer
@@ -342,13 +350,14 @@ impl<'b> EntryJoinState<'b> {
         tracker: &'b MemTracker,
         eviction: EvictionPolicy,
         lookup_hists: Option<(Histogram, Histogram)>,
+        inner_width: usize,
     ) -> Self {
         Self {
             inner_inv,
             dict,
             tracker,
             cache: EntryCache::new(eviction),
-            accumulators: HashMap::new(),
+            sims: SimRows::new(inner_width),
             acc_bytes: 0,
             delta_postings: DeltaPostings::Unbuilt,
             lookup_hists,
@@ -445,21 +454,10 @@ impl<'b> EntryJoinState<'b> {
         }
 
         // Extract the λ best inner documents for this outer document.
-        let inner_profile = spec.inner.profile();
-        let outer_profile = spec.outer.profile();
         let mut topk = TopK::new(spec.query.lambda);
-        for (&inner_raw, &acc) in &self.accumulators {
-            let inner_id = DocId::new(inner_raw);
-            let score =
-                spec.weighting
-                    .finalize(acc, inner_profile, inner_id, outer_profile, outer_id);
-            if !score.is_zero() {
-                topk.offer(inner_id, score);
-            }
-        }
+        self.sims.emit(0, spec, outer_id, &mut topk);
         rows.push((outer_id, topk.into_matches()));
 
-        self.accumulators.clear();
         self.tracker.release(self.acc_bytes);
         self.acc_bytes = 0;
         Ok(())
@@ -483,10 +481,12 @@ impl<'b> EntryJoinState<'b> {
         // untraced hot path pays nothing beyond an Option check.
         let lookup_start = self.lookup_hists.as_ref().map(|_| Instant::now());
 
+        // Accumulate while the cached postings are borrowed; the memory
+        // charge, which may evict them, comes after.
         if let Some(cells) = self.cache.get(cell.term) {
             counters.cache_hits += 1;
-            let cells = cells.to_vec(); // escape the cache borrow
-            self.apply_postings(spec, outer_id, cell.weight, factor, &cells, counters)?;
+            let added = accumulate(&mut self.sims, spec, outer_id, cell.weight, factor, cells);
+            self.charge_accumulators(added, counters)?;
             if let (Some((hit, _)), Some(t0)) = (&self.lookup_hists, lookup_start) {
                 hit.observe(t0.elapsed().as_nanos() as u64);
             }
@@ -518,12 +518,14 @@ impl<'b> EntryJoinState<'b> {
                 Some(freed) => self.tracker.release(freed),
                 None => {
                     // Nothing left to evict: accumulate without caching.
-                    self.apply_postings(spec, outer_id, cell.weight, factor, &cells, counters)?;
-                    return Ok(());
+                    let added =
+                        accumulate(&mut self.sims, spec, outer_id, cell.weight, factor, &cells);
+                    return self.charge_accumulators(added, counters);
                 }
             }
         }
-        self.apply_postings(spec, outer_id, cell.weight, factor, &cells, counters)?;
+        let added = accumulate(&mut self.sims, spec, outer_id, cell.weight, factor, &cells);
+        self.charge_accumulators(added, counters)?;
         self.cache
             .insert(cell.term, cells, bytes, insert_df(cell.term));
         Ok(())
@@ -553,10 +555,11 @@ impl<'b> EntryJoinState<'b> {
         if matches!(self.delta_postings, DeltaPostings::Unbuilt) {
             self.build_delta_postings(spec, overlay)?;
         }
-        let cells = match &self.delta_postings {
+        let weight = cell.weight;
+        let added = match &self.delta_postings {
             DeltaPostings::Built(map) => match map.get(&cell.term) {
-                Some(cells) if !cells.is_empty() => cells.clone(),
-                _ => return Ok(()),
+                Some(cells) => accumulate(&mut self.sims, spec, outer_id, weight, factor, cells),
+                None => return Ok(()),
             },
             DeltaPostings::Dropped => {
                 // The delta is unreadable: every lookup that would have
@@ -566,8 +569,7 @@ impl<'b> EntryJoinState<'b> {
                 return Ok(());
             }
             DeltaPostings::PerTerm => match overlay.postings_for(cell.term) {
-                Ok(cells) if !cells.is_empty() => cells,
-                Ok(_) => return Ok(()),
+                Ok(cells) => accumulate(&mut self.sims, spec, outer_id, weight, factor, &cells),
                 Err(e) if spec.skippable(&e) => {
                     counters.skipped_entries += 1;
                     return Ok(());
@@ -576,7 +578,7 @@ impl<'b> EntryJoinState<'b> {
             },
             DeltaPostings::Unbuilt => unreachable!("built above"),
         };
-        self.apply_postings(spec, outer_id, cell.weight, factor, &cells, counters)
+        self.charge_accumulators(added, counters)
     }
 
     /// One-shot materialization of the inner delta overlay: a single
@@ -615,51 +617,64 @@ impl<'b> EntryJoinState<'b> {
         Ok(())
     }
 
-    fn apply_postings(
-        &mut self,
-        spec: &JoinSpec<'_>,
-        outer_id: DocId,
-        outer_weight: u16,
-        factor: f64,
-        cells: &[textjoin_common::ICell],
-        counters: &mut HvnlCounters,
-    ) -> Result<()> {
-        for icell in cells {
-            if !spec.inner_doc_allowed(icell.doc) || !spec.pair_allowed(icell.doc, outer_id) {
-                continue;
-            }
-            counters.sim_ops += 1;
-            let contribution = outer_weight as f64 * icell.weight as f64 * factor;
-            match self.accumulators.entry(icell.doc.raw()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    *e.get_mut() += contribution;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    // 4 bytes per non-zero similarity — the same accounting
-                    // the cost model's `4·N1·δ/P` term uses. The entry
-                    // cache is discretionary: shrink it before giving up on
-                    // mandatory accumulator space.
-                    loop {
-                        match self.tracker.allocate(4, "HVNL similarity accumulators") {
-                            Ok(()) => break,
-                            Err(err) => match self.cache.evict_one() {
-                                Some(freed) => self.tracker.release(freed),
-                                // Mandatory space outranks pin hints: the
-                                // pins are released first (so the entries
-                                // become evictable) rather than ever
-                                // evicting a pinned entry directly.
-                                None if self.cache.has_pinned() => self.cache.unpin_all(),
-                                None => return Err(err),
-                            },
-                        }
-                    }
-                    self.acc_bytes += 4;
-                    e.insert(contribution);
+    /// Counts one term's multiply-adds and charges its newly non-zero
+    /// pairs 4 bytes each — the same accounting the cost model's
+    /// `4·N1·δ/P` term uses. One allocation covers them when it fits;
+    /// otherwise they are charged pair by pair, and the entry cache, being
+    /// discretionary, shrinks before mandatory accumulator space is given
+    /// up on. Either way the evictions and the high-water mark are those
+    /// of charging each pair as it is first touched.
+    fn charge_accumulators(&mut self, added: Added, counters: &mut HvnlCounters) -> Result<()> {
+        counters.sim_ops += added.pairs;
+        let bytes = 4 * added.fresh;
+        if bytes == 0
+            || self
+                .tracker
+                .allocate(bytes, "HVNL similarity accumulators")
+                .is_ok()
+        {
+            self.acc_bytes += bytes;
+            return Ok(());
+        }
+        for _ in 0..added.fresh {
+            loop {
+                match self.tracker.allocate(4, "HVNL similarity accumulators") {
+                    Ok(()) => break,
+                    Err(err) => match self.cache.evict_one() {
+                        Some(freed) => self.tracker.release(freed),
+                        // Mandatory space outranks pin hints: the pins are
+                        // released first (so the entries become evictable)
+                        // rather than ever evicting a pinned entry
+                        // directly.
+                        None if self.cache.has_pinned() => self.cache.unpin_all(),
+                        None => return Err(err),
+                    },
                 }
             }
+            self.acc_bytes += 4;
         }
         Ok(())
     }
+}
+
+/// Adds one term's postings into the one-slot accumulator of outer
+/// document `outer_id`: every posting the spec lets pair with it.
+fn accumulate(
+    sims: &mut SimRows,
+    spec: &JoinSpec<'_>,
+    outer_id: DocId,
+    outer_weight: u16,
+    factor: f64,
+    cells: &[textjoin_common::ICell],
+) -> Added {
+    sims.add(
+        0,
+        outer_weight,
+        factor,
+        cells
+            .iter()
+            .filter(|ic| spec.inner_doc_allowed(ic.doc) && spec.pair_allowed(ic.doc, outer_id)),
+    )
 }
 
 /// The in-memory entry cache with its two replacement policies.

@@ -21,12 +21,19 @@
 //! first. Every pair therefore scores bit-identically to the pairwise
 //! merge, under every weighting.
 //!
+//!
+//! HVNL and VVM sum each pair term by term instead, and hold the running
+//! sums in [`SimRows`]: one dense row per outer slot, indexed by inner
+//! document number, with a first-touch bitset and a touched list that
+//! record which pairs are non-zero. The same operand grouping and the same
+//! ascending term order keep those sums bit-identical too.
+//!
 //! [`Weighting::score_pair_counted`]: crate::Weighting::score_pair_counted
 
 use crate::spec::JoinSpec;
 use crate::topk::TopK;
 use textjoin_collection::Document;
-use textjoin_common::{DocId, TermId};
+use textjoin_common::{DocId, ICell, TermId};
 use textjoin_invfile::{RankCell, TermOrder};
 
 /// One resident cell, indexed by key.
@@ -231,14 +238,167 @@ pub fn score_inner_doc(
     counts
 }
 
+/// Dense similarity accumulators for the term-at-a-time algorithms: one
+/// `f64` row per outer slot, indexed by inner document number, for every
+/// document number below the width (base plus delta ids, see
+/// [`JoinSpec::inner_id_bound`]).
+///
+/// A pair's sum starts at `0.0` and grows by `(outer weight · inner weight)
+/// · factor` per [`add`](Self::add), so callers that add terms in
+/// ascending order reproduce the pairwise sums bit for bit. Which pairs are
+/// non-zero is recorded apart from the sums: a per-row first-touch bitset
+/// and a touched list in first-touch order. A zero contribution therefore
+/// still makes its pair non-zero, exactly as an inserted map entry did.
+///
+/// A row is allocated the first time its slot is touched and kept: a
+/// [`drain`](Self::drain) or [`emit`](Self::emit) resets only the touched
+/// entries, so later passes and outer documents reuse it. The price is
+/// `8·width` bytes (plus a `width/8`-byte bitset) per touched slot, however
+/// few of its pairs are non-zero.
+#[derive(Debug)]
+pub struct SimRows {
+    width: usize,
+    rows: Vec<Row>,
+    nonzero: u64,
+}
+
+#[derive(Debug, Default)]
+struct Row {
+    sums: Vec<f64>,
+    seen: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl Row {
+    /// Adds `value` to `doc`'s sum; whether this touched it first.
+    #[inline]
+    fn add(&mut self, doc: u32, value: f64) -> bool {
+        let d = doc as usize;
+        let (word, bit) = (d / 64, 1u64 << (d % 64));
+        let fresh = self.seen[word] & bit == 0;
+        if fresh {
+            self.seen[word] |= bit;
+            self.touched.push(doc);
+        }
+        self.sums[d] += value;
+        fresh
+    }
+}
+
+/// What one [`SimRows::add`] did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Added {
+    /// Pairs added to: one multiply-add each.
+    pub pairs: u64,
+    /// Pairs among them touched for the first time.
+    pub fresh: u64,
+}
+
+impl SimRows {
+    /// Empty accumulators for inner document numbers below `width`.
+    pub fn new(width: usize) -> Self {
+        Self {
+            width,
+            rows: Vec::new(),
+            nonzero: 0,
+        }
+    }
+
+    /// The row of `slot`, allocated on first use.
+    fn row(&mut self, slot: usize) -> &mut Row {
+        if slot >= self.rows.len() {
+            self.rows.resize_with(slot + 1, Row::default);
+        }
+        let row = &mut self.rows[slot];
+        if row.sums.len() != self.width {
+            row.sums = vec![0.0; self.width];
+            row.seen = vec![0; self.width.div_ceil(64)];
+        }
+        row
+    }
+
+    /// Adds `(weight · cell weight) · factor` to the sum of `slot` and each
+    /// cell's document. `cells` must carry distinct documents.
+    pub fn add<'c>(
+        &mut self,
+        slot: usize,
+        weight: u16,
+        factor: f64,
+        cells: impl IntoIterator<Item = &'c ICell>,
+    ) -> Added {
+        let row = self.row(slot);
+        let mut added = Added::default();
+        for c in cells {
+            added.pairs += 1;
+            let fresh = row.add(c.doc.raw(), weight as f64 * c.weight as f64 * factor);
+            added.fresh += u64::from(fresh);
+        }
+        self.nonzero += added.fresh;
+        added
+    }
+
+    /// Non-zero pairs held: the pairs touched since they were last drained.
+    pub fn nonzero(&self) -> u64 {
+        self.nonzero
+    }
+
+    /// Hands every non-zero pair of `slot` to `visit` as `(inner document,
+    /// sum)`, in first-touch order, and resets them.
+    pub fn drain(&mut self, slot: usize, mut visit: impl FnMut(DocId, f64)) {
+        let Some(row) = self.rows.get_mut(slot) else {
+            return;
+        };
+        for &doc in &row.touched {
+            let d = doc as usize;
+            visit(DocId::new(doc), row.sums[d]);
+            row.sums[d] = 0.0;
+            // Every set bit belongs to a touched document, so clearing
+            // whole words clears exactly this row's marks.
+            row.seen[d / 64] = 0;
+        }
+        self.nonzero -= row.touched.len() as u64;
+        row.touched.clear();
+    }
+
+    /// Drains `slot` into the λ-heap of outer document `outer_id`: each
+    /// sum through [`Weighting::finalize`](crate::Weighting::finalize),
+    /// zero scores dropped.
+    pub fn emit(&mut self, slot: usize, spec: &JoinSpec<'_>, outer_id: DocId, topk: &mut TopK) {
+        let (inner_profile, outer_profile) = (spec.inner.profile(), spec.outer.profile());
+        self.drain(slot, |inner_id, sum| {
+            let score =
+                spec.weighting
+                    .finalize(sum, inner_profile, inner_id, outer_profile, outer_id);
+            if !score.is_zero() {
+                topk.offer(inner_id, score);
+            }
+        });
+    }
+
+    /// Adds every non-zero pair of `partial` into these rows, slot by
+    /// slot, and resets `partial`. Folding the partial tables of
+    /// consecutive term ranges in range order keeps each pair's sum in
+    /// that order.
+    pub fn fold(&mut self, partial: &mut SimRows) {
+        for slot in 0..partial.rows.len() {
+            partial.drain(slot, |inner_id, sum| {
+                let fresh = self.row(slot).add(inner_id.raw(), sum);
+                self.nonzero += u64::from(fresh);
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Weighting;
     use proptest::prelude::*;
+    use std::collections::hash_map::Entry;
+    use std::collections::{BTreeMap, HashMap};
     use std::sync::Arc;
     use textjoin_collection::Collection;
-    use textjoin_invfile::{filtered_merge, FnlIndex};
+    use textjoin_invfile::{filtered_merge, DeltaOverlay, FnlIndex};
     use textjoin_storage::DiskSim;
 
     const WEIGHTINGS: [Weighting; 3] = [Weighting::RawCount, Weighting::Cosine, Weighting::TfIdf];
@@ -288,6 +448,119 @@ mod tests {
         view.push(std::iter::empty());
         assert_eq!(view.probe(std::iter::empty(), |_| 1.0), 0);
         view.drain(|_, _, _| panic!("nothing was touched"));
+    }
+
+    #[test]
+    fn sim_rows_mark_first_touch_apart_from_the_sum_and_reuse_rows() {
+        let cells = |pairs: &[(u32, u16)]| -> Vec<ICell> {
+            pairs
+                .iter()
+                .map(|&(d, w)| ICell::new(DocId::new(d), w))
+                .collect()
+        };
+        let mut rows = SimRows::new(70);
+        let a = rows.add(2, 3, 1.0, &cells(&[(1, 2), (65, 0)]));
+        assert_eq!(
+            a,
+            Added { pairs: 2, fresh: 2 },
+            "a zero contribution is non-zero"
+        );
+        let b = rows.add(2, 1, 0.5, &cells(&[(65, 0), (69, 4)]));
+        assert_eq!(b, Added { pairs: 2, fresh: 1 });
+        assert_eq!(rows.add(0, 1, 1.0, &cells(&[(1, 1)])).fresh, 1);
+        assert_eq!(rows.nonzero(), 4);
+        let mut got = Vec::new();
+        rows.drain(2, |d, sum| got.push((d.raw(), sum)));
+        assert_eq!(
+            got,
+            vec![(1, 6.0), (65, 0.0), (69, 2.0)],
+            "first-touch order"
+        );
+        assert_eq!(rows.nonzero(), 1);
+        // The drained row is reused from zero; the untouched slot 1 and a
+        // slot past the end drain nothing.
+        assert_eq!(rows.add(2, 1, 1.0, &cells(&[(65, 3)])).fresh, 1);
+        got.clear();
+        rows.drain(2, |d, sum| got.push((d.raw(), sum)));
+        rows.drain(1, |_, _| panic!("slot 1 was never touched"));
+        rows.drain(9, |_, _| panic!("slot 9 does not exist"));
+        assert_eq!(got, vec![(65, 3.0)]);
+    }
+
+    /// The accumulator the executors kept before [`SimRows`]: outer slot →
+    /// (inner document → sum), a pair non-zero once its entry exists.
+    #[derive(Default)]
+    struct MapAcc(HashMap<u32, HashMap<u32, f64>>);
+
+    impl MapAcc {
+        /// One pair's contribution; whether it inserted the entry.
+        fn add(&mut self, slot: usize, inner: DocId, contribution: f64) -> bool {
+            match self.0.entry(slot as u32).or_default().entry(inner.raw()) {
+                Entry::Occupied(mut e) => {
+                    *e.get_mut() += contribution;
+                    false
+                }
+                Entry::Vacant(e) => {
+                    e.insert(contribution);
+                    true
+                }
+            }
+        }
+
+        fn nonzero(&self) -> u64 {
+            self.0.values().map(|m| m.len() as u64).sum()
+        }
+
+        /// The partial-table fold of the parallel and sharded executors.
+        fn fold(&mut self, partial: MapAcc) {
+            for (slot, per_outer) in partial.0 {
+                let dst = self.0.entry(slot).or_default();
+                for (inner, sum) in per_outer {
+                    *dst.entry(inner).or_insert(0.0) += sum;
+                }
+            }
+        }
+
+        /// Every non-zero pair as sorted `(slot, inner, sum bits)`.
+        fn pairs(&self) -> Vec<(u32, u32, u64)> {
+            let mut out: Vec<_> = self
+                .0
+                .iter()
+                .flat_map(|(&slot, m)| m.iter().map(move |(&i, &sum)| (slot, i, sum.to_bits())))
+                .collect();
+            out.sort_unstable();
+            out
+        }
+    }
+
+    /// Drains every slot of `rows` as sorted `(slot, inner, sum bits)`.
+    fn drained(rows: &mut SimRows, slots: usize) -> Vec<(u32, u32, u64)> {
+        let mut out = Vec::new();
+        for slot in 0..slots {
+            rows.drain(slot, |d, sum| {
+                out.push((slot as u32, d.raw(), sum.to_bits()))
+            });
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Postings `term → ascending (document, weight)` of `docs`, with the
+    /// weight of every cell whose running index hits `zero` set to 0 so
+    /// zero contributions occur.
+    fn postings(docs: &[Document], zero: &[bool]) -> BTreeMap<u32, Vec<ICell>> {
+        let mut out: BTreeMap<u32, Vec<ICell>> = BTreeMap::new();
+        let mut n = 0usize;
+        for (id, d) in ids(docs.len()).zip(docs) {
+            for c in d.cells() {
+                let weight = if zero[n % zero.len()] { 0 } else { c.weight };
+                out.entry(c.term.raw())
+                    .or_default()
+                    .push(ICell::new(id, weight));
+                n += 1;
+            }
+        }
+        out
     }
 
     /// Random documents over a small vocabulary, so pairs overlap often;
@@ -515,6 +788,125 @@ mod tests {
                     prop_assert_eq!(counts.pruned_pairs, pruned, "{:?} τ={}", weighting, tau);
                 }
             }
+        }
+        /// [`SimRows`] sums every pair term by term exactly as the nested
+        /// maps did — same bits, same multiply-adds, same first touches and
+        /// the same non-zero count — under every weighting, with and
+        /// without `exclude_self`, an inner selection and delta deletes.
+        #[test]
+        fn prop_sim_rows_equal_the_nested_map_accumulator(
+            inner_docs in docs(12),
+            outer_docs in docs(8),
+            zero in proptest::collection::vec(prop_oneof![Just(false), Just(false), Just(true)], 1..9),
+            exclude_self in proptest::bool::ANY,
+            keep in proptest::collection::vec(proptest::bool::ANY, 12),
+            filter_inner in proptest::bool::ANY,
+            deleted in proptest::collection::vec(0u32..12, 0..4),
+        ) {
+            let f = fixture(inner_docs, outer_docs);
+            let inner_post = postings(&f.inner_docs, &zero);
+            let outer_post = postings(&f.outer_docs, &zero);
+            let kept_ids: Vec<DocId> =
+                ids(f.inner_docs.len()).filter(|id| keep[id.index()]).collect();
+            let mut overlay = DeltaOverlay::new();
+            for &d in &deleted {
+                overlay.delete(DocId::new(d));
+            }
+            for weighting in WEIGHTINGS {
+                let mut spec = JoinSpec::new(&f.inner, &f.outer)
+                    .with_weighting(weighting)
+                    .with_inner_delta(&overlay);
+                if exclude_self {
+                    spec = spec.with_exclude_self();
+                }
+                if filter_inner {
+                    spec = spec.with_inner_docs(&kept_ids);
+                }
+                let ip = f.inner.profile();
+                let mut rows = SimRows::new(spec.inner_id_bound());
+                // The second round reuses the drained rows, as a later pass
+                // or outer document does.
+                for _round in 0..2 {
+                let mut oracle = MapAcc::default();
+                let (mut ops, mut fresh) = (0u64, 0u64);
+                let (mut want_ops, mut want_fresh) = (0u64, 0u64);
+                let mut allowed: Vec<ICell> = Vec::new();
+                for (&term, inner_cells) in &inner_post {
+                    let Some(outer_cells) = outer_post.get(&term) else {
+                        continue;
+                    };
+                    let factor = weighting.term_factor(TermId::new(term), ip);
+                    if factor == 0.0 {
+                        continue;
+                    }
+                    allowed.clear();
+                    allowed.extend(inner_cells.iter().filter(|ic| spec.inner_doc_allowed(ic.doc)));
+                    for oc in outer_cells {
+                        let slot = oc.doc.index();
+                        let added = rows.add(
+                            slot,
+                            oc.weight,
+                            factor,
+                            allowed.iter().filter(|ic| spec.pair_allowed(ic.doc, oc.doc)),
+                        );
+                        ops += added.pairs;
+                        fresh += added.fresh;
+                        for ic in inner_cells {
+                            if !spec.inner_doc_allowed(ic.doc) || !spec.pair_allowed(ic.doc, oc.doc) {
+                                continue;
+                            }
+                            want_ops += 1;
+                            let contribution = oc.weight as f64 * ic.weight as f64 * factor;
+                            want_fresh += u64::from(oracle.add(slot, ic.doc, contribution));
+                        }
+                    }
+                }
+                prop_assert_eq!(ops, want_ops, "{:?}", weighting);
+                prop_assert_eq!(fresh, want_fresh, "{:?}", weighting);
+                prop_assert_eq!(rows.nonzero(), oracle.nonzero(), "{:?}", weighting);
+                prop_assert_eq!(drained(&mut rows, f.outer_docs.len()), oracle.pairs(), "{:?}", weighting);
+                prop_assert_eq!(rows.nonzero(), 0, "{:?}: a drain empties the rows", weighting);
+                }
+            }
+        }
+
+        /// Folding k partial tables in index order gives the bits and the
+        /// non-zero count of the nested-map fold.
+        #[test]
+        fn prop_sim_rows_fold_equals_the_nested_map_fold(
+            partials in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0usize..4, 0u32..20, prop_oneof![Just(0u16), 1u16..1000], 0u32..8),
+                    0..30,
+                ),
+                1..5,
+            ),
+        ) {
+            let factors = [1.0, 0.5, 0.1, 1.0 / 3.0, 2.7, 1e-3, 7.25, 0.0];
+            let mut rows: Vec<SimRows> = partials.iter().map(|_| SimRows::new(20)).collect();
+            let mut maps: Vec<MapAcc> = partials.iter().map(|_| MapAcc::default()).collect();
+            for ((adds, table), map) in partials.iter().zip(&mut rows).zip(&mut maps) {
+                for &(slot, inner, weight, f) in adds {
+                    let factor = factors[f as usize];
+                    let cell = ICell::new(DocId::new(inner), weight);
+                    let fresh = table.add(slot, 3, factor, [&cell]).fresh;
+                    let want = map.add(slot, cell.doc, 3.0 * weight as f64 * factor);
+                    prop_assert_eq!(fresh == 1, want);
+                }
+                prop_assert_eq!(table.nonzero(), map.nonzero());
+            }
+            let (acc, rest) = rows.split_first_mut().unwrap();
+            for partial in rest {
+                acc.fold(partial);
+                prop_assert_eq!(partial.nonzero(), 0, "a fold drains the partial");
+            }
+            let mut maps = maps.into_iter();
+            let mut want = maps.next().unwrap();
+            for partial in maps {
+                want.fold(partial);
+            }
+            prop_assert_eq!(acc.nonzero(), want.nonzero());
+            prop_assert_eq!(drained(acc, 4), want.pairs());
         }
     }
 }

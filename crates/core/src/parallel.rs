@@ -33,11 +33,11 @@
 //! against wall-clock: with `w` dedicated drives the elapsed scan time
 //! divides by ~`w`.
 
+use crate::kernel::SimRows;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
 use crate::topk::TopK;
 use crate::{hhnl, hvnl, vvm, Algorithm};
-use std::collections::HashMap;
 use std::time::Instant;
 use textjoin_common::{DocId, Error, Result, SystemParams, TermId};
 use textjoin_invfile::InvertedFile;
@@ -213,10 +213,9 @@ where
     })
 }
 
-/// What one VVM term-range worker hands back per merge pass.
+/// What one VVM term-range worker hands back per merge pass (its partial
+/// sums stay in the worker's own [`SimRows`]).
 struct VvmPartial {
-    /// outer id → (inner id → partial weighted sum over the worker's terms).
-    acc: HashMap<u32, HashMap<u32, f64>>,
     skipped_entries: u64,
     sim_ops: u64,
     io: IoStats,
@@ -258,6 +257,7 @@ pub fn execute_vvm(
     }
 
     let ranges = term_ranges(inner_inv, outer_inv, workers);
+    let disk = spec.inner.store().disk();
     let mut partitions = vvm::estimate_partitions(
         spec,
         inner_inv,
@@ -265,13 +265,18 @@ pub fn execute_vvm(
         outer_ids.len() as u64,
         workers as u64,
     )?;
+    let mut retries = vvm::Repartitions::default();
     loop {
-        match run_vvm(spec, inner_inv, outer_inv, &outer_ids, &ranges, partitions) {
+        let before = disk.stats();
+        match run_vvm(
+            spec, inner_inv, outer_inv, &outer_ids, &ranges, partitions, retries,
+        ) {
             Ok(outcome) => return Ok(outcome),
             Err(Error::InsufficientMemory { .. }) if partitions < outer_ids.len() as u64 => {
                 // The δ estimate undershot the real non-zero density;
                 // re-partition more finely and rerun, exactly like the
                 // sequential executor's recovery.
+                retries.note(disk.stats().since(&before).cost(spec.sys.alpha));
                 partitions = (partitions * 2).min(outer_ids.len() as u64);
             }
             Err(e) => return Err(e),
@@ -343,6 +348,7 @@ fn run_vvm(
     outer_ids: &[DocId],
     ranges: &[TermRange],
     partitions: u64,
+    retries: vvm::Repartitions,
 ) -> Result<JoinOutcome> {
     let started = Instant::now();
     let workers = ranges.len();
@@ -351,6 +357,7 @@ fn run_vvm(
         root.record("workers", workers as u64);
         root.record("partitions", partitions);
     }
+    retries.trace(&mut root);
     // Worker spans parent under this root span across threads.
     let stitched = root.context().map(|c| c.tracer());
     let disk = spec.inner.store().disk();
@@ -369,6 +376,9 @@ fn run_vvm(
     let mut mem_high_water = 0u64;
     let mut reported_pages = 0.0f64;
     let mut cancelled = false;
+    // One partial table per worker, reused by every pass.
+    let width = spec.inner_id_bound();
+    let mut tables: Vec<SimRows> = ranges.iter().map(|_| SimRows::new(width)).collect();
 
     for chunk in outer_ids.chunks(chunk_size) {
         passes += 1;
@@ -376,8 +386,9 @@ fn run_vvm(
             let handles: Vec<_> = ranges
                 .iter()
                 .zip(&shares)
+                .zip(tables.iter_mut())
                 .enumerate()
-                .map(|(idx, (&range, &share))| {
+                .map(|(idx, ((&range, &share), sims))| {
                     // Each worker opens one span per pass through the
                     // stitched tracer, so its work shows up parented under
                     // the `vvm.parallel` root span.
@@ -403,7 +414,6 @@ fn run_vvm(
                         )?;
                         let mut skipped = 0u64;
                         let mut ops = 0u64;
-                        let mut acc: HashMap<u32, HashMap<u32, f64>> = HashMap::new();
                         let (i_start, i_end) = range.inner;
                         let (o_start, o_end) = range.outer;
                         // Term bounds for the delta overlays: the ordinal
@@ -444,17 +454,16 @@ fn run_vvm(
                             &mut skipped,
                         )?;
                         vvm::merge_accumulate(
-                            &worker_spec,
+                            std::slice::from_ref(&worker_spec),
                             inner_cur,
                             outer_cur,
-                            chunk,
+                            &[chunk],
                             &tracker,
-                            &mut acc,
-                            &mut ops,
+                            std::slice::from_mut(sims),
+                            std::slice::from_mut(&mut ops),
                             &mut skipped,
                         )?;
                         Ok(VvmPartial {
-                            acc,
                             skipped_entries: skipped,
                             sim_ops: ops,
                             io: DiskSim::thread_io_stats().since(&before),
@@ -471,26 +480,24 @@ fn run_vvm(
         .expect("crossbeam scope panicked")?;
 
         // Sum the partial tables in worker index order — ascending term
-        // order, the same order the sequential merge accumulates in. Each
-        // worker's map is dropped as soon as it is folded in.
-        let mut acc: HashMap<u32, HashMap<u32, f64>> = HashMap::new();
+        // order, the same order the sequential merge accumulates in — into
+        // the first worker's table. Folding resets each table for the next
+        // pass.
         let mut pass_mem = 0u64;
         for partial in partials {
             skipped_entries += partial.skipped_entries;
             sim_ops += partial.sim_ops;
             io_sum.merge(&partial.io);
             pass_mem += partial.mem_high_water;
-            for (outer_raw, per_outer) in partial.acc {
-                let dst = acc.entry(outer_raw).or_default();
-                for (inner_raw, sum) in per_outer {
-                    *dst.entry(inner_raw).or_insert(0.0) += sum;
-                }
-            }
+        }
+        let (acc, rest) = tables.split_first_mut().expect("at least one worker");
+        for partial in rest {
+            acc.fold(partial);
         }
         // Concurrent workers peak together: their summed high-waters are
         // the pass's true footprint.
         mem_high_water = mem_high_water.max(pass_mem);
-        vvm::emit_chunk(spec, chunk, &acc, &mut rows);
+        vvm::emit_chunk(spec, chunk, acc, &mut rows);
         // The pass boundary is this scaffold's cooperative checkpoint. The
         // coordinator thread did none of the I/O, so its thread-local
         // tally is useless here; feed the exact per-worker sums instead.
@@ -519,20 +526,18 @@ fn run_vvm(
         root.record("rand_reads", io.rand_reads);
         root.record("sim_ops", sim_ops);
     }
-    let stats = ExecStats {
-        algorithm: Algorithm::Vvm,
+    let mut stats = ExecStats {
         io,
         cost: io.cost(spec.sys.alpha),
         mem_high_water_bytes: mem_high_water,
         passes,
-        entry_fetches: 0,
-        cache_hits: 0,
         sim_ops,
         cells_touched: sim_ops,
-        skipped_docs: 0,
         skipped_entries,
         wall_ns: started.elapsed().as_nanos() as u64,
+        ..ExecStats::zero(Algorithm::Vvm)
     };
+    retries.record(&mut stats);
     Ok(JoinOutcome {
         result: JoinResult::from_rows(rows),
         // A cancel at a pass boundary truncates the remaining chunks, so

@@ -106,6 +106,13 @@ pub struct ExecStats {
     pub skipped_entries: u64,
     /// Wall-clock execution time in nanoseconds.
     pub wall_ns: u64,
+    /// VVM only: attempts abandoned and re-run with twice the partitions
+    /// because the similarity accumulators outgrew the memory budget.
+    pub repartitions: u64,
+    /// VVM only: page cost (`seq + α·rand`) the abandoned attempts spent.
+    /// It is not part of [`io`](Self::io) or [`cost`](Self::cost), which
+    /// describe the run that produced the result.
+    pub discarded_cost: f64,
 }
 
 impl ExecStats {
@@ -126,6 +133,8 @@ impl ExecStats {
             skipped_docs: 0,
             skipped_entries: 0,
             wall_ns: 0,
+            repartitions: 0,
+            discarded_cost: 0.0,
         }
     }
 
@@ -157,6 +166,8 @@ impl ExecStats {
         self.cells_touched = self.cells_touched.saturating_add(other.cells_touched);
         self.skipped_docs = self.skipped_docs.saturating_add(other.skipped_docs);
         self.skipped_entries = self.skipped_entries.saturating_add(other.skipped_entries);
+        self.repartitions = self.repartitions.saturating_add(other.repartitions);
+        self.discarded_cost += other.discarded_cost;
         // Concurrent workers overlap in time, so the merged wall time is
         // the longest individual run, not the sum.
         self.wall_ns = self.wall_ns.max(other.wall_ns);
@@ -186,6 +197,13 @@ impl std::fmt::Display for ExecStats {
                 f,
                 ", {} entry fetches, {} cache hits",
                 self.entry_fetches, self.cache_hits
+            )?;
+        }
+        if self.repartitions > 0 {
+            write!(
+                f,
+                ", {} repartitions ({:.1} pages discarded)",
+                self.repartitions, self.discarded_cost
             )?;
         }
         if self.skipped_docs > 0 || self.skipped_entries > 0 {

@@ -45,6 +45,7 @@
 //! agree only approximately, because per-site profiles are rebuilt from
 //! subsets; cosine VVM additionally reassociates floating-point sums.
 
+use crate::kernel::SimRows;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
 use crate::topk::{self, TopK};
@@ -766,9 +767,9 @@ struct FragSite {
     shipped: u64,
 }
 
-/// What one fragment site hands back per merge pass.
+/// What one fragment site hands back per merge pass (its partial sums stay
+/// in the site's own [`SimRows`]).
 struct ShardPartial {
-    acc: HashMap<u32, HashMap<u32, f64>>,
     skipped_entries: u64,
     sim_ops: u64,
     io: IoStats,
@@ -883,6 +884,7 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
         )?);
     }
     let (_guards, tickets) = register_tickets(spec, Algorithm::Vvm, opts, s);
+    let mut retries = vvm::Repartitions::default();
     loop {
         let mut acc_shipped = vec![0u64; s];
         match run_vvm_passes(
@@ -908,6 +910,7 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
                 }
                 stats.skipped_docs = stats.skipped_docs.saturating_add(mat_skipped);
                 stats.wall_ns = started.elapsed().as_nanos() as u64 + net.elapsed_ns();
+                retries.record(&mut stats);
                 let quality = if cancelled || mat_skipped > 0 {
                     ResultQuality::Partial
                 } else {
@@ -938,6 +941,13 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
                 });
             }
             Err(Error::InsufficientMemory { .. }) if partitions < outer_ids.len() as u64 => {
+                // Every attempt starts from reset site tallies, so they
+                // hold exactly the abandoned attempt's reads.
+                let mut spent = IoStats::default();
+                for site in &sites {
+                    spent.merge(&site.disk.stats());
+                }
+                retries.note(spent.cost(spec.sys.alpha));
                 partitions = (partitions * 2).min(outer_ids.len() as u64);
             }
             Err(e) => return Err(e),
@@ -971,12 +981,16 @@ fn run_vvm_passes(
         site.disk.reset_stats();
         site.disk.reset_head();
     }
+    // One partial table per site, reused by every pass.
+    let width = spec.inner_id_bound();
+    let mut tables: Vec<SimRows> = sites.iter().map(|_| SimRows::new(width)).collect();
     for chunk in outer_ids.chunks(chunk_size) {
         passes += 1;
         let partials = crossbeam::thread::scope(|sc| {
             let handles: Vec<_> = sites
                 .iter()
-                .map(|site| {
+                .zip(tables.iter_mut())
+                .map(|(site, sims)| {
                     sc.spawn(move |_| -> Result<ShardPartial> {
                         let before = DiskSim::thread_io_stats();
                         let tracker = MemTracker::new(&spec.sys);
@@ -989,7 +1003,6 @@ fn run_vvm_passes(
                             .allocate(TopK::budget_bytes(spec.query.lambda), "VVM result heap")?;
                         let mut skipped = 0u64;
                         let mut ops = 0u64;
-                        let mut acc: HashMap<u32, HashMap<u32, f64>> = HashMap::new();
                         let n1 = site.inner.num_entries() as u32;
                         let n2 = site.outer.num_entries() as u32;
                         let inner_cur = vvm::EntryCursor::new(
@@ -1003,17 +1016,16 @@ fn run_vvm_passes(
                             &mut skipped,
                         )?;
                         vvm::merge_accumulate(
-                            spec,
+                            std::slice::from_ref(spec),
                             inner_cur,
                             outer_cur,
-                            chunk,
+                            &[chunk],
                             &tracker,
-                            &mut acc,
-                            &mut ops,
+                            std::slice::from_mut(sims),
+                            std::slice::from_mut(&mut ops),
                             &mut skipped,
                         )?;
                         Ok(ShardPartial {
-                            acc,
                             skipped_entries: skipped,
                             sim_ops: ops,
                             io: DiskSim::thread_io_stats().since(&before),
@@ -1029,15 +1041,13 @@ fn run_vvm_passes(
         })
         .expect("crossbeam scope panicked")?;
 
-        // Ship each site's partial table to the coordinator and fold. Raw
-        // counts make the fold exact in any order; fractional weightings
-        // agree to floating-point reassociation, as in the parallel
-        // engine.
-        let mut acc: HashMap<u32, HashMap<u32, f64>> = HashMap::new();
+        // Ship each site's partial table to the coordinator and fold them
+        // in site order into the first site's table. Raw counts make the
+        // fold exact in any order; fractional weightings agree to
+        // floating-point reassociation, as in the parallel engine.
         let mut pass_mem = 0u64;
-        for (k, partial) in partials.into_iter().enumerate() {
-            let cells: u64 = partial.acc.values().map(|m| m.len() as u64).sum();
-            let pages = (cells * SHIP_CELL_BYTES).div_ceil(page.max(1));
+        for (k, (partial, table)) in partials.into_iter().zip(&tables).enumerate() {
+            let pages = (table.nonzero() * SHIP_CELL_BYTES).div_ceil(page.max(1));
             acc_shipped[k] += pages;
             net.ship(pages);
             stats.skipped_entries += partial.skipped_entries;
@@ -1048,15 +1058,13 @@ fn run_vvm_passes(
                 ticket.add_pages(partial.io.cost(spec.sys.alpha));
                 ticket.set_phase(format!("vvm.shard pass {passes}"));
             }
-            for (outer_raw, per_outer) in partial.acc {
-                let dst = acc.entry(outer_raw).or_default();
-                for (inner_raw, sum) in per_outer {
-                    *dst.entry(inner_raw).or_insert(0.0) += sum;
-                }
-            }
+        }
+        let (acc, rest) = tables.split_first_mut().expect("at least one site");
+        for partial in rest {
+            acc.fold(partial);
         }
         stats.mem_high_water_bytes = stats.mem_high_water_bytes.max(pass_mem);
-        vvm::emit_chunk(spec, chunk, &acc, &mut rows);
+        vvm::emit_chunk(spec, chunk, acc, &mut rows);
         if spec.cancel.is_some_and(|c| c.is_cancelled()) {
             cancelled = true;
             break;

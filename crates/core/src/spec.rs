@@ -313,6 +313,22 @@ impl<'a> JoinSpec<'a> {
         }
     }
 
+    /// One past the largest inner document number the join can meet: the
+    /// base store's ids and the inner overlay's live inserted ids. Dense
+    /// per-inner-document accumulators are this wide.
+    pub fn inner_id_bound(&self) -> usize {
+        let store = self.inner.store();
+        let base = match store.num_docs() {
+            0 => 0,
+            n => store.doc_at(n as usize - 1).index() + 1,
+        };
+        let delta = self
+            .inner_delta
+            .and_then(|d| d.live_ids().last().map(|id| id.index() + 1))
+            .unwrap_or(0);
+        base.max(delta)
+    }
+
     /// Replaces the system parameters.
     pub fn with_sys(self, sys: SystemParams) -> Self {
         Self { sys, ..self }

@@ -7,33 +7,71 @@
 //! similarity of every pair `(r, s)` is advanced by `u·v`.
 //!
 //! The price is holding the intermediate similarity of *every* non-zero
-//! document pair at once — space proportional to `N1·N2`. When the
-//! estimate `SM = 4·δ·N1·N2/P` exceeds the available memory
+//! document pair at once. The paper budgets 4 bytes per non-zero pair,
+//! `SM = 4·δ·N1·N2/P` pages in all; when that exceeds the available memory
 //! `M = B − ⌈J1⌉ − ⌈J2⌉`, the outer collection is split into `⌈SM/M⌉`
 //! subcollections and both files are rescanned once per subcollection
 //! (section 4.3's extension). If the δ-based estimate proves too
 //! optimistic at run time, the executor doubles the partition count and
-//! retries rather than exceeding the budget.
+//! retries rather than exceeding the budget; the retries and the page cost
+//! of the abandoned attempts are reported in [`ExecStats::repartitions`]
+//! and [`ExecStats::discarded_cost`].
+//!
+//! The sums themselves live in [`SimRows`]: one dense row per outer
+//! document of the current subcollection, indexed by inner document
+//! number. The memory tracker is charged the paper's 4 bytes for each
+//! pair the rows mark non-zero, so the partition count and the memory
+//! high-water mark follow the paper's accounting, not the rows' real size.
 
+use crate::kernel::SimRows;
 use crate::report::observe_phase_sim_io;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{Checkpoint, JoinSpec};
 use crate::topk::TopK;
-use std::collections::HashMap;
 use std::time::Instant;
 use textjoin_common::{DocId, Error, ICell, Result, TermId, SIM_VALUE_BYTES};
 use textjoin_costmodel::Algorithm;
 use textjoin_invfile::InvertedFile;
-use textjoin_obs::Tracer;
+use textjoin_obs::{Span, Tracer};
 use textjoin_storage::MemTracker;
 
-/// Bytes charged per live accumulator. The paper budgets exactly 4 bytes
-/// per non-zero intermediate similarity (`SM = 4·δ·N1·N2/P`); we charge the
+/// Bytes charged per non-zero pair. The paper budgets exactly 4 bytes per
+/// non-zero intermediate similarity (`SM = 4·δ·N1·N2/P`); we charge the
 /// same so the executor's partition count matches the ⌈SM/M⌉ the model
-/// predicts. (A keyed in-memory representation also stores the two
-/// document numbers; the paper's accounting treats that as bookkeeping
-/// outside the buffer budget, and we follow it.)
+/// predicts. The dense [`SimRows`] actually hold `8·N1` bytes per outer
+/// document of the subcollection; like the paper, the accounting treats
+/// the representation as outside the buffer budget.
 pub(crate) const ACC_BYTES: u64 = SIM_VALUE_BYTES as u64;
+
+/// Re-partitions of one VVM run: attempts abandoned because the
+/// accumulators outgrew the budget, and the page cost they had spent.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Repartitions {
+    pub(crate) count: u64,
+    pub(crate) discarded_cost: f64,
+}
+
+impl Repartitions {
+    /// Counts one abandoned attempt that had spent `cost` pages.
+    pub(crate) fn note(&mut self, cost: f64) {
+        self.count += 1;
+        self.discarded_cost += cost;
+    }
+
+    /// Copies the tally into a run's statistics.
+    pub(crate) fn record(&self, stats: &mut ExecStats) {
+        stats.repartitions = self.count;
+        stats.discarded_cost = self.discarded_cost;
+    }
+
+    /// Records the tally on a run's root span, if there was a retry.
+    pub(crate) fn trace(&self, root: &mut Span<'_>) {
+        if self.count > 0 && root.is_enabled() {
+            root.record("repartitions", self.count);
+            root.record("discarded_pages", self.discarded_cost.round() as u64);
+        }
+    }
+}
 
 /// Executes the join with VVM.
 pub fn execute(
@@ -43,15 +81,19 @@ pub fn execute(
 ) -> Result<JoinOutcome> {
     let outer_ids: Vec<DocId> = spec.outer_live_ids();
 
+    let disk = spec.inner.store().disk();
     let mut partitions =
         estimate_partitions(spec, inner_inv, outer_inv, outer_ids.len() as u64, 1)?;
+    let mut retries = Repartitions::default();
     loop {
-        match run(spec, inner_inv, outer_inv, &outer_ids, partitions) {
+        let before = disk.stats();
+        match run(spec, inner_inv, outer_inv, &outer_ids, partitions, retries) {
             Ok(outcome) => return Ok(outcome),
             Err(Error::InsufficientMemory { .. }) if partitions < outer_ids.len() as u64 => {
                 // The δ estimate undershot the real non-zero density;
                 // re-partition more finely and rerun (costs more scans, as
                 // the paper's ⌈SM/M⌉ analysis predicts).
+                retries.note(disk.stats().since(&before).cost(spec.sys.alpha));
                 partitions = (partitions * 2).min(outer_ids.len() as u64);
             }
             Err(e) => return Err(e),
@@ -215,12 +257,14 @@ fn run(
     outer_inv: &InvertedFile,
     outer_ids: &[DocId],
     partitions: u64,
+    retries: Repartitions,
 ) -> Result<JoinOutcome> {
     let started = Instant::now();
     let mut root = Tracer::maybe(spec.trace, "vvm");
     if root.is_enabled() {
         root.record("partitions", partitions);
     }
+    retries.trace(&mut root);
     let disk = spec.inner.store().disk();
     let start_io = disk.stats();
     let tracker = MemTracker::new(&spec.sys);
@@ -240,15 +284,14 @@ fn run(
     let mut skipped_entries = 0u64;
     let mut progress = Checkpoint::new();
     let mut cancelled = false;
+    // One row per outer document of a chunk, reused by every pass.
+    let mut sims = SimRows::new(spec.inner_id_bound());
 
     for chunk in outer_ids.chunks(chunk_size) {
         passes += 1;
         let mut pass_span = root.child("vvm.merge_pass");
         let pass_io = disk.stats();
         let ops_before = sim_ops;
-        // s → (r → accumulated weighted sum); membership tested against the
-        // chunk's contiguous id range via binary search on the sorted chunk.
-        let mut acc: HashMap<u32, HashMap<u32, f64>> = HashMap::new();
 
         let inner_cur = EntryCursor::new(
             merged_entries(
@@ -270,20 +313,20 @@ fn run(
             spec,
             &mut skipped_entries,
         )?;
-        let acc_bytes = merge_accumulate(
-            spec,
+        merge_accumulate(
+            std::slice::from_ref(spec),
             inner_cur,
             outer_cur,
-            chunk,
+            &[chunk],
             &tracker,
-            &mut acc,
-            &mut sim_ops,
+            std::slice::from_mut(&mut sims),
+            std::slice::from_mut(&mut sim_ops),
             &mut skipped_entries,
         )?;
 
         // Emit this subcollection's results.
-        emit_chunk(spec, chunk, &acc, &mut rows);
-        tracker.release(acc_bytes);
+        tracker.release(sims.nonzero() * ACC_BYTES);
+        emit_chunk(spec, chunk, &mut sims, &mut rows);
         if pass_span.is_enabled() {
             let d = disk.stats().since(&pass_io);
             pass_span.record("outer_docs", chunk.len() as u64);
@@ -317,22 +360,20 @@ fn run(
         root.record("sim_ops", sim_ops);
         observe_phase_sim_io(spec.trace, "vvm", &io, spec.sys.alpha);
     }
-    let stats = ExecStats {
-        algorithm: Algorithm::Vvm,
+    let mut stats = ExecStats {
         io,
         cost: io.cost(spec.sys.alpha),
         mem_high_water_bytes: tracker.high_water(),
         passes,
-        entry_fetches: 0,
-        cache_hits: 0,
         sim_ops,
         // VVM's merge only visits non-zero postings.
         cells_touched: sim_ops,
         // VVM never reads documents, only inverted files.
-        skipped_docs: 0,
         skipped_entries,
         wall_ns: started.elapsed().as_nanos() as u64,
+        ..ExecStats::zero(Algorithm::Vvm)
     };
+    retries.record(&mut stats);
     let quality = if cancelled {
         ResultQuality::Partial
     } else {
@@ -345,104 +386,100 @@ fn run(
     })
 }
 
-/// One term-ordered merge over a pair of entry streams, accumulating
-/// weighted contributions for the outer documents in `chunk` (sorted by
-/// id). Shared by the sequential executor and the term-partitioned
-/// parallel workers, so both apply bit-identical arithmetic per pair.
-/// Returns the accumulator bytes allocated against `tracker` (the caller
-/// releases them after emitting).
+/// One term-ordered merge over a pair of entry streams, accumulating each
+/// query's pairs for the outer documents of its chunk (sorted by id; the
+/// document's position in the chunk is its slot in the query's
+/// [`SimRows`]). Every VVM mode runs its passes through here — the
+/// sequential and batched executors over whole files, the parallel workers
+/// and the shard sites over term ranges — so all of them apply
+/// bit-identical arithmetic per pair. `specs` share their collections;
+/// `chunks`, `sims` and `sim_ops` hold one entry per spec.
+///
+/// The tracker is charged [`ACC_BYTES`] per pair marked non-zero, one call
+/// per (term, outer cell); nothing is released mid-pass, so the budget
+/// fails exactly where a per-pair charge would.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_accumulate<I1, I2>(
-    spec: &JoinSpec<'_>,
+    specs: &[JoinSpec<'_>],
     mut inner_cur: EntryCursor<I1>,
     mut outer_cur: EntryCursor<I2>,
-    chunk: &[DocId],
+    chunks: &[&[DocId]],
     tracker: &MemTracker,
-    acc: &mut HashMap<u32, HashMap<u32, f64>>,
-    sim_ops: &mut u64,
+    sims: &mut [SimRows],
+    sim_ops: &mut [u64],
     skipped_entries: &mut u64,
-) -> Result<u64>
+) -> Result<()>
 where
     I1: Iterator<Item = Result<(TermId, Vec<ICell>)>>,
     I2: Iterator<Item = Result<(TermId, Vec<ICell>)>>,
 {
-    let inner_profile = spec.inner.profile();
-    let mut acc_bytes = 0u64;
+    let spec0 = &specs[0];
+    let inner_profile = spec0.inner.profile();
+    // The term's inner cells a query may match, filtered once per term.
+    let mut allowed: Vec<ICell> = Vec::new();
     // Merge by term: advance the scan with the smaller term.
     while let (Some(inner_term), Some(outer_term)) = (inner_cur.term(), outer_cur.term()) {
         match inner_term.cmp(&outer_term) {
-            std::cmp::Ordering::Less => {
-                inner_cur.advance(spec, skipped_entries)?;
-            }
-            std::cmp::Ordering::Greater => {
-                outer_cur.advance(spec, skipped_entries)?;
-            }
+            std::cmp::Ordering::Less => inner_cur.advance(spec0, skipped_entries)?,
+            std::cmp::Ordering::Greater => outer_cur.advance(spec0, skipped_entries)?,
             std::cmp::Ordering::Equal => {
-                let Some((term, inner_cells)) = inner_cur.current.take() else {
+                let Some((term, inner_cells)) = inner_cur.take_current() else {
                     break;
                 };
-                let Some((_, outer_cells)) = outer_cur.current.take() else {
+                let Some((_, outer_cells)) = outer_cur.take_current() else {
                     break;
                 };
-                inner_cur.advance(spec, skipped_entries)?;
-                outer_cur.advance(spec, skipped_entries)?;
-                let factor = spec.weighting.term_factor(term, inner_profile);
-                if factor == 0.0 {
-                    continue;
-                }
-                for oc in &outer_cells {
-                    if chunk.binary_search(&oc.doc).is_err() {
+                inner_cur.advance(spec0, skipped_entries)?;
+                outer_cur.advance(spec0, skipped_entries)?;
+                for (si, spec) in specs.iter().enumerate() {
+                    let factor = spec.weighting.term_factor(term, inner_profile);
+                    if factor == 0.0 || chunks[si].is_empty() {
                         continue;
                     }
-                    let per_outer = acc.entry(oc.doc.raw()).or_default();
-                    for ic in &inner_cells {
-                        if !spec.inner_doc_allowed(ic.doc) || !spec.pair_allowed(ic.doc, oc.doc) {
+                    allowed.clear();
+                    allowed.extend(
+                        inner_cells
+                            .iter()
+                            .filter(|ic| spec.inner_doc_allowed(ic.doc)),
+                    );
+                    for oc in &outer_cells {
+                        let Ok(slot) = chunks[si].binary_search(&oc.doc) else {
                             continue;
-                        }
-                        *sim_ops += 1;
-                        let contribution = oc.weight as f64 * ic.weight as f64 * factor;
-                        match per_outer.entry(ic.doc.raw()) {
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                *e.get_mut() += contribution;
-                            }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                tracker.allocate(ACC_BYTES, "VVM similarity accumulators")?;
-                                acc_bytes += ACC_BYTES;
-                                e.insert(contribution);
-                            }
+                        };
+                        let added = sims[si].add(
+                            slot,
+                            oc.weight,
+                            factor,
+                            allowed
+                                .iter()
+                                .filter(|ic| spec.pair_allowed(ic.doc, oc.doc)),
+                        );
+                        sim_ops[si] += added.pairs;
+                        if added.fresh > 0 {
+                            tracker
+                                .allocate(added.fresh * ACC_BYTES, "VVM similarity accumulators")?;
                         }
                     }
                 }
             }
         }
     }
-    Ok(acc_bytes)
+    Ok(())
 }
 
 /// Turns one chunk's accumulated similarities into result rows: a λ-heap
 /// per outer document, ties broken by document id (order-independent), so
-/// any executor emitting from equal sums produces identical rows.
+/// any executor emitting from equal sums produces identical rows. Resets
+/// the chunk's rows for the next pass.
 pub(crate) fn emit_chunk(
     spec: &JoinSpec<'_>,
     chunk: &[DocId],
-    acc: &HashMap<u32, HashMap<u32, f64>>,
+    sims: &mut SimRows,
     rows: &mut Vec<(DocId, Vec<Match>)>,
 ) {
-    let inner_profile = spec.inner.profile();
-    let outer_profile = spec.outer.profile();
-    for &outer_id in chunk {
+    for (slot, &outer_id) in chunk.iter().enumerate() {
         let mut topk = TopK::new(spec.query.lambda);
-        if let Some(per_outer) = acc.get(&outer_id.raw()) {
-            for (&inner_raw, &sum) in per_outer {
-                let inner_id = DocId::new(inner_raw);
-                let score =
-                    spec.weighting
-                        .finalize(sum, inner_profile, inner_id, outer_profile, outer_id);
-                if !score.is_zero() {
-                    topk.offer(inner_id, score);
-                }
-            }
-        }
+        sims.emit(slot, spec, outer_id, &mut topk);
         rows.push((outer_id, topk.into_matches()));
     }
 }

@@ -625,7 +625,25 @@ fn explain_analyze_inner(
             (Some(m), None) => (format!("{m:>12.1}"), format!("{:>8}", "n/a")),
             _ => (format!("{:>12}", "n/a"), format!("{:>8}", "n/a")),
         };
-        let _ = writeln!(text, "      {} {predicted} vs {meas} {err}", row.formula);
+        // VVM's measured cost is its last attempt's; the attempts it
+        // abandoned to re-partition are listed beside it.
+        let retried = measured
+            .iter()
+            .flatten()
+            .find(|s| s.algorithm == Algorithm::Vvm)
+            .filter(|s| row.formula == "vvs" && s.repartitions > 0)
+            .map(|s| {
+                format!(
+                    "  ({} repartitions, {:.1} pages discarded)",
+                    s.repartitions, s.discarded_cost
+                )
+            })
+            .unwrap_or_default();
+        let _ = writeln!(
+            text,
+            "      {} {predicted} vs {meas} {err}{retried}",
+            row.formula
+        );
     }
     if !calibrated.is_empty() {
         let _ = writeln!(
@@ -1341,6 +1359,44 @@ mod tests {
             let row = out.row("hhs").unwrap();
             assert_eq!(row.measured, Some(r.measured_cost));
         }
+    }
+
+    #[test]
+    fn analyze_reports_vvm_repartitions_beside_its_drift_row() {
+        // δ far below the real density: VVM's one-pass estimate overflows
+        // the budget and re-partitions before it succeeds.
+        let c = big_catalog(512, 120, 60, 40, 200);
+        let sys = SystemParams {
+            buffer_pages: 16,
+            page_size: 512,
+            alpha: 5.0,
+        };
+        let out = explain_analyze_query(
+            &c,
+            "Select Q.Id, D.Id From Docs D, Queries Q \
+             Where Q.Body SIMILAR_TO(3) D.Body",
+            sys,
+            QueryParams {
+                lambda: 3,
+                delta: 0.0001,
+            },
+            IoScenario::Dedicated,
+        )
+        .unwrap();
+        let vvm = out
+            .reports
+            .iter()
+            .find(|r| r.algorithm == Algorithm::Vvm)
+            .expect("VVM ran");
+        let line = out
+            .text
+            .lines()
+            .find(|l| l.trim_start().starts_with("vvs "))
+            .expect("vvs drift row");
+        assert!(line.contains(" repartitions, "), "{line}");
+        assert!(line.contains(" pages discarded)"), "{line}");
+        // The row's measured cost is the successful attempt's alone.
+        assert_eq!(out.row("vvs").unwrap().measured, Some(vvm.measured_cost));
     }
 
     #[test]
