@@ -22,8 +22,8 @@ use std::sync::Arc;
 use textjoin_collection::SynthSpec;
 use textjoin_common::{CollectionStats, DocId, Error, QueryParams, Result, SystemParams};
 use textjoin_core::{
-    batch, execute_sharded, fnl, hhnl, hvnl, parallel, vvm, BatchOptions, JoinSpec, QueryReport,
-    ShardOptions, ShardPartitioning,
+    batch, execute_sharded, fnl, hhnl, hvnl, parallel, vvm, JoinSpec, QueryReport, ShardOptions,
+    ShardPartitioning,
 };
 use textjoin_costmodel as costmodel;
 use textjoin_costmodel::{Algorithm, CalibrationProfile};
@@ -495,9 +495,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                             disk.reset_head();
                             let run = match algorithm {
                                 Algorithm::Hhnl => batch::execute_hhnl(&specs),
-                                Algorithm::Hvnl => {
-                                    batch::execute_hvnl(&specs, &inv1, BatchOptions::default())
-                                }
+                                Algorithm::Hvnl => batch::execute_hvnl(&specs, &inv1),
                                 Algorithm::Vvm => batch::execute_vvm(&specs, &inv1, &inv2),
                                 Algorithm::Fnl => batch::execute_fnl(&specs, &fnl1),
                             };

@@ -4,67 +4,51 @@
 //! `(C1, C2)`, running them back to back repeats the expensive shared
 //! structure reads: HHNL rescans the inner collection per query, HVNL
 //! reloads the dictionary and refetches overlapping entries, VVM rescans
-//! both inverted files. The batch engine executes all `N` queries in one
-//! pass over the shared structures:
+//! both inverted files. Every algorithm has one engine that takes `N ≥ 1`
+//! queries and does those reads once for the whole batch; a sequential
+//! run is the same engine with `N = 1`:
 //!
 //! * **HHNL** and **FNL** run the nested-loop engine ([`crate::nl`]): it
 //!   concatenates the queries' outer streams and fills memory rounds
 //!   across query boundaries, so the inner collection (or the signature
 //!   file) is scanned `⌈Σᵢ N2ᵢ/Xᵢ⌉` times for the whole batch
-//!   (`costmodel::hhs_batch`) instead of `Σᵢ ⌈N2ᵢ/Xᵢ⌉` times. The
-//!   sequential [`crate::hhnl::execute`] and [`crate::fnl::execute`] are
-//!   the same engine with `N = 1`.
-//! * **HVNL** scans the outer collection once, processing each document
-//!   for every query that selects it against a *single shared entry
-//!   cache* — an entry fetched for one query is a cache hit for the rest.
-//!   The eviction policy is pluggable ([`BatchOptions`]); the default
-//!   [`EvictionPolicy::BatchAggregateDf`] keys evictions by the term's
-//!   demand aggregated over the whole batch.
-//! * **VVM** folds every query's λ-thresholds into one term-ordered merge:
-//!   each pooled pass scans both inverted files once and fills one
-//!   accumulator map per query, emitting per-query result sets.
+//!   (`costmodel::hhs_batch`) instead of `Σᵢ ⌈N2ᵢ/Xᵢ⌉` times.
+//! * **HVNL** runs the HVNL engine ([`crate::hvnl`]): it reads each outer
+//!   document once and processes it for every query that selects it
+//!   against a *single shared entry cache* — an entry fetched for one
+//!   query is a cache hit for the rest.
+//! * **VVM** runs the VVM engine ([`crate::vvm`]): each pooled pass scans
+//!   both inverted files once and fills one accumulator table per query,
+//!   emitting per-query result sets.
+//!
+//! This module holds what the engines share: the batch invariants
+//! (`validate`), per-query accumulation (`QueryAcc`), checkpoints
+//! (`BatchProgress`) and the outcome assembly (`finish`).
 //!
 //! Results are exactly what sequential execution produces: each query's
 //! [`JoinOutcome`] in [`BatchOutcome::queries`] carries the same
-//! [`JoinResult`] as running that query alone (byte-identical under
-//! integer-valued weightings such as raw count, where addition order
-//! cannot perturb the sums). Batch-level I/O lives in
-//! [`BatchOutcome::stats`]; per-query stats carry the CPU-side counters
-//! attributable to that query (shared I/O cannot be split honestly, so it
-//! is reported once, amortized by the caller).
+//! [`JoinResult`] as running that query alone, under every weighting —
+//! each query's pairs are summed in the same order whatever shares the
+//! scan. Batch-level I/O lives in [`BatchOutcome::stats`]; per-query
+//! stats carry the CPU-side counters attributable to that query (shared
+//! I/O cannot be split honestly, so it is reported once, amortized by the
+//! caller).
 //!
 //! All specs in a batch must share the collection pair, the system
 //! parameters and the degraded flag; per-query λ, weighting, outer
 //! selection and inner filters are free.
 
-use crate::hvnl::{EntryJoinState, EvictionPolicy, HvnlCounters};
-use crate::kernel::{ProbeCounts, SimRows};
+use crate::hvnl::{self, HvnlOptions};
+use crate::kernel::ProbeCounts;
 use crate::nl::{self, InnerScan};
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::{Checkpoint, JoinSpec, OuterDocs};
-use crate::topk::TopK;
-use crate::vvm::{self, EntryCursor, Repartitions, ACC_BYTES};
+use crate::spec::{Checkpoint, JoinSpec};
+use crate::vvm;
 use std::time::Instant;
-use textjoin_collection::Document;
-use textjoin_common::{DocId, Error, Result, TermId, SIM_VALUE_BYTES};
+use textjoin_common::{DocId, Error, Result};
 use textjoin_costmodel::Algorithm;
 use textjoin_invfile::{FnlIndex, InvertedFile};
-use textjoin_storage::{IoStats, MemTracker};
-
-/// Tuning knobs for batched execution.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchOptions {
-    /// Entry-cache replacement policy for batched HVNL.
-    pub eviction: EvictionPolicy,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        Self {
-            eviction: EvictionPolicy::BatchAggregateDf,
-        }
-    }
-}
+use textjoin_storage::IoStats;
 
 /// The outcome of one batched execution: one [`JoinOutcome`] per input
 /// spec (same order) plus the batch-level statistics.
@@ -137,30 +121,18 @@ pub(crate) fn validate(specs: &[JoinSpec<'_>]) -> Result<()> {
     Ok(())
 }
 
-/// Whether `id` is one of the spec's participating outer documents. A
-/// tombstoned document never participates, whatever the selection.
-fn outer_participates(spec: &JoinSpec<'_>, id: DocId) -> bool {
-    if spec.outer_delta.is_some_and(|d| d.is_deleted(id)) {
-        return false;
-    }
-    match spec.outer_docs {
-        OuterDocs::Full => true,
-        OuterDocs::Selected(ids) => ids.binary_search(&id).is_ok(),
-    }
-}
-
 /// Per-query accumulation while the batch runs.
 #[derive(Default)]
 pub(crate) struct QueryAcc {
     pub(crate) rows: Vec<(DocId, Vec<Match>)>,
     /// Rounds / pooled passes this query participated in.
     pub(crate) passes: u64,
-    entry_fetches: u64,
-    cache_hits: u64,
+    pub(crate) entry_fetches: u64,
+    pub(crate) cache_hits: u64,
     pub(crate) sim_ops: u64,
     pub(crate) cells_touched: u64,
     pub(crate) skipped_docs: u64,
-    skipped_entries: u64,
+    pub(crate) skipped_entries: u64,
 }
 
 impl QueryAcc {
@@ -329,7 +301,7 @@ pub fn execute_hhnl(specs: &[JoinSpec<'_>]) -> Result<BatchOutcome> {
 /// term-ordering sidecar loaded once for the whole batch
 /// (`costmodel::fns_batch`'s shared-sidecar saving). Every query runs at
 /// the registered threshold τ = 1, so each result is byte-identical to
-/// its sequential FNL (and HHNL) run under integer-valued weightings.
+/// its sequential FNL run.
 pub fn execute_fnl(specs: &[JoinSpec<'_>], index: &FnlIndex) -> Result<BatchOutcome> {
     nl::run(
         specs,
@@ -341,420 +313,32 @@ pub fn execute_fnl(specs: &[JoinSpec<'_>], index: &FnlIndex) -> Result<BatchOutc
 }
 
 /// Batched HVNL: one outer pass, every query served from one shared entry
-/// cache. The dictionary is loaded once (`Bt1` paid once — the
+/// cache (the HVNL engine, [`crate::hvnl`], under the paper's options).
+/// The dictionary is loaded once (`Bt1` paid once — the
 /// `costmodel::hvs_batch` saving); an entry fetched for one query is a
 /// cache hit for every other query that needs the same term.
-pub fn execute_hvnl(
-    specs: &[JoinSpec<'_>],
-    inner_inv: &InvertedFile,
-    options: BatchOptions,
-) -> Result<BatchOutcome> {
-    validate(specs)?;
-    let started = Instant::now();
-    let spec0 = &specs[0];
-    let disk = spec0.inner.store().disk();
-    let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec0.sys);
-
-    let dict = inner_inv.btree().load_leaves()?;
-    tracker.allocate(dict.size_bytes().max(1), "batch HVNL B+tree dictionary")?;
-    tracker.allocate(
-        spec0.outer.store().max_doc_bytes().max(1),
-        "batch HVNL outer document slot",
-    )?;
-    // One result heap lives at a time; reserve the largest λ in the batch.
-    let heap_bytes = specs
-        .iter()
-        .map(|s| TopK::budget_bytes(s.query.lambda))
-        .max()
-        .unwrap_or(0);
-    tracker.allocate(heap_bytes.max(1), "batch HVNL result heap")?;
-    let max_entry = (0..inner_inv.num_entries() as u32)
-        .map(|o| inner_inv.entry_bytes(o))
-        .max()
-        .unwrap_or(0);
-    tracker.allocate(max_entry.max(1), "batch HVNL current entry buffer")?;
-
-    let mut state = EntryJoinState::new(
-        inner_inv,
-        dict,
-        &tracker,
-        options.eviction,
-        None,
-        spec0.inner_id_bound(),
-    );
-    // Aggregate demand estimate for the eviction key: the term's outer
-    // document frequency summed over every query that can actually use the
-    // entry (a query whose weighting zeroes the term contributes nothing).
-    // Under `LowestOuterDf` or `Lru` the single-query semantics are kept
-    // (the cache ignores or re-keys the value respectively); aggregation
-    // only changes *which* entry is evicted first, never any result.
-    let insert_df = |t: TermId| -> u64 {
-        specs
-            .iter()
-            .map(|s| {
-                if s.weighting.term_factor(t, s.inner.profile()) == 0.0 {
-                    0
-                } else {
-                    u64::from(s.outer.profile().doc_frequency(t))
-                }
-            })
-            .sum()
-    };
-
-    let mut counters: Vec<HvnlCounters> = specs.iter().map(|_| HvnlCounters::default()).collect();
-    let mut accs: Vec<QueryAcc> = specs.iter().map(|_| QueryAcc::default()).collect();
-    let mut shared_skipped_docs = 0u64;
-    let mut progress = BatchProgress::new(specs);
-    let mut docs_done = 0u64;
-
-    state.maybe_preload_inverted_file(spec0, &insert_df)?;
-
-    // Drive one outer pass. When any query wants the full collection the
-    // store is scanned sequentially; otherwise only the union of the
-    // selected documents is read (each once, shared by every query that
-    // chose it).
-    let full_spec = specs
-        .iter()
-        .find(|s| matches!(s.outer_docs, OuterDocs::Full));
-    let mut process = |id: DocId,
-                       doc: &Document,
-                       accs: &mut [QueryAcc],
-                       counters: &mut [HvnlCounters],
-                       cancelled: &[bool]| {
-        for (si, spec) in specs.iter().enumerate() {
-            if !cancelled[si] && outer_participates(spec, id) {
-                state.process_outer_doc(
-                    spec,
-                    id,
-                    doc,
-                    &insert_df,
-                    &mut counters[si],
-                    &mut accs[si].rows,
-                )?;
-            }
-        }
-        Ok::<(), Error>(())
-    };
-    if let Some(full_spec) = full_spec {
-        // `outer_iter` folds in the shared outer delta (validated identical
-        // across the batch); per-spec tombstone masking in
-        // `outer_participates` is then a no-op but keeps the Selected
-        // specs honest.
-        for item in full_spec.outer_iter() {
-            let (id, doc) = match item {
-                Ok(pair) => pair,
-                Err(e) if spec0.skippable(&e) => {
-                    shared_skipped_docs += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            // Outer documents are this pass's checkpoint grain — the same
-            // grain the sequential HVNL executor polls at.
-            if progress.observe(
-                specs,
-                disk.stats().since(&start_io).cost(spec0.sys.alpha),
-                || format!("hvnl.batch.doc {docs_done}"),
-            )? {
-                break;
-            }
-            docs_done += 1;
-            process(id, &doc, &mut accs, &mut counters, &progress.cancelled)?;
-        }
-    } else {
-        let mut union: Vec<DocId> = specs
-            .iter()
-            .flat_map(|s| match s.outer_docs {
-                OuterDocs::Full => unreachable!("no Full spec in the batch"),
-                OuterDocs::Selected(ids) => ids.iter().copied(),
-            })
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        let store = spec0.outer.store();
-        // Selected ids may point at delta-inserted documents; serve those
-        // from the shared overlay, everything else from the base store.
-        let read_union_doc = |id: DocId| -> Result<Document> {
-            if let Some(overlay) = spec0.outer_delta {
-                if !store.contains(id) {
-                    if let Some(doc) = overlay.doc(id)? {
-                        return Ok(doc);
-                    }
-                }
-            }
-            store.read_doc_direct(id)
-        };
-        for id in union {
-            if spec0.outer_delta.is_some_and(|d| d.is_deleted(id)) {
-                continue;
-            }
-            let doc = match read_union_doc(id) {
-                Ok(doc) => doc,
-                Err(e) if spec0.skippable(&e) => {
-                    // Attribute the skip to exactly the queries that chose
-                    // this document.
-                    for (si, spec) in specs.iter().enumerate() {
-                        if outer_participates(spec, id) {
-                            accs[si].skipped_docs += 1;
-                        }
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if progress.observe(
-                specs,
-                disk.stats().since(&start_io).cost(spec0.sys.alpha),
-                || format!("hvnl.batch.doc {docs_done}"),
-            )? {
-                break;
-            }
-            docs_done += 1;
-            process(id, &doc, &mut accs, &mut counters, &progress.cancelled)?;
-        }
-    }
-    drop(state);
-    // A closing checkpoint prices the last document's fetches, as the
-    // sequential executor's per-document checkpoint does.
-    progress.observe(
-        specs,
-        disk.stats().since(&start_io).cost(spec0.sys.alpha),
-        || format!("hvnl.batch.doc {docs_done}"),
-    )?;
-
-    for (a, c) in accs.iter_mut().zip(&counters) {
-        a.passes = 1;
-        a.entry_fetches = c.entry_fetches;
-        a.cache_hits = c.cache_hits;
-        a.sim_ops = c.sim_ops;
-        a.cells_touched = c.sim_ops;
-        a.skipped_entries = c.skipped_entries;
-    }
-
-    let io = disk.stats().since(&start_io);
-    Ok(finish(
-        Algorithm::Hvnl,
-        spec0.sys.alpha,
-        accs,
-        &progress.cancelled,
-        io,
-        1,
-        tracker.high_water(),
-        shared_skipped_docs,
-        0,
-        started,
-    ))
+pub fn execute_hvnl(specs: &[JoinSpec<'_>], inner_inv: &InvertedFile) -> Result<BatchOutcome> {
+    hvnl::run(specs, inner_inv, HvnlOptions::default())
 }
 
 /// Batched VVM: all queries' accumulators share the similarity budget of
 /// one merge scan, so both inverted files are read `⌈Σᵢ SMᵢ/M⌉` times for
-/// the whole batch (`costmodel::vvs_batch`).
+/// the whole batch (`costmodel::vvs_batch`; the VVM engine,
+/// [`crate::vvm`]).
 pub fn execute_vvm(
     specs: &[JoinSpec<'_>],
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
 ) -> Result<BatchOutcome> {
-    validate(specs)?;
-    let started = Instant::now();
-    let outer_ids: Vec<Vec<DocId>> = specs.iter().map(|s| s.outer_live_ids()).collect();
-    let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
-
-    let disk = specs[0].inner.store().disk();
-    let mut partitions = estimate_batch_partitions(specs, inner_inv, outer_inv, &outer_ids)?;
-    let mut retries = Repartitions::default();
-    loop {
-        let before = disk.stats();
-        match run_vvm(specs, inner_inv, outer_inv, &outer_ids, partitions, started) {
-            Ok(mut outcome) => {
-                retries.record(&mut outcome.stats);
-                return Ok(outcome);
-            }
-            Err(Error::InsufficientMemory { .. }) if partitions < max_len => {
-                // Pooled δ estimate undershot; re-partition more finely,
-                // exactly like the sequential executor.
-                retries.note(disk.stats().since(&before).cost(specs[0].sys.alpha));
-                partitions = (partitions * 2).min(max_len);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// `⌈Σᵢ SMᵢ / M⌉` from measured statistics — the pooled version of the
-/// sequential partition estimate: all queries' accumulators compete for
-/// the similarity budget of the same scan.
-fn estimate_batch_partitions(
-    specs: &[JoinSpec<'_>],
-    inner_inv: &InvertedFile,
-    outer_inv: &InvertedFile,
-    outer_ids: &[Vec<DocId>],
-) -> Result<u64> {
-    let spec0 = &specs[0];
-    let p = spec0.sys.page_size as f64;
-    let n1 = spec0.inner.store().num_docs() as f64;
-    let sm: f64 = specs
-        .iter()
-        .zip(outer_ids)
-        .map(|(s, ids)| SIM_VALUE_BYTES as f64 * s.query.delta * n1 * ids.len() as f64 / p)
-        .sum();
-    let m = spec0.sys.buffer_pages as f64
-        - inner_inv.avg_entry_pages().ceil()
-        - outer_inv.avg_entry_pages().ceil();
-    if m <= 0.0 {
-        return Err(Error::InsufficientMemory {
-            context: "batch VVM similarity space (M ≤ 0)".into(),
-            required_pages: (inner_inv.avg_entry_pages().ceil()
-                + outer_inv.avg_entry_pages().ceil()
-                + 1.0) as u64,
-            available_pages: spec0.sys.buffer_pages,
-        });
-    }
-    let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
-    Ok(((sm / m).ceil() as u64).clamp(1, max_len.max(1)))
-}
-
-fn run_vvm(
-    specs: &[JoinSpec<'_>],
-    inner_inv: &InvertedFile,
-    outer_inv: &InvertedFile,
-    outer_ids: &[Vec<DocId>],
-    partitions: u64,
-    started: Instant,
-) -> Result<BatchOutcome> {
-    let spec0 = &specs[0];
-    let disk = spec0.inner.store().disk();
-    let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec0.sys);
-    let entry_buf_bytes = vvm::max_entry_bytes(inner_inv) + vvm::max_entry_bytes(outer_inv);
-    tracker.allocate(entry_buf_bytes.max(1), "batch VVM entry buffers")?;
-    let heap_bytes = specs
-        .iter()
-        .map(|s| TopK::budget_bytes(s.query.lambda))
-        .max()
-        .unwrap_or(0);
-    tracker.allocate(heap_bytes.max(1), "batch VVM result heap")?;
-
-    // Per-query chunking: pass k serves chunk k of every query. A query
-    // whose outer set is exhausted contributes an empty chunk (and skips
-    // the pass in its own accounting).
-    let chunk_sizes: Vec<usize> = outer_ids
-        .iter()
-        .map(|ids| (ids.len() as u64).div_ceil(partitions.max(1)).max(1) as usize)
-        .collect();
-
-    let mut accs: Vec<QueryAcc> = specs.iter().map(|_| QueryAcc::default()).collect();
-    let mut passes = 0u64;
-    let mut shared_skipped_entries = 0u64;
-    let mut progress = BatchProgress::new(specs);
-    // One accumulator table per query, reused by every pass.
-    let mut sims: Vec<SimRows> = specs
-        .iter()
-        .map(|s| SimRows::new(s.inner_id_bound()))
-        .collect();
-    let mut sim_ops = vec![0u64; specs.len()];
-
-    for k in 0..partitions.max(1) as usize {
-        // Pooled passes are the checkpoints: a latched query contributes
-        // an empty chunk from here on, so the folded scan stops doing its
-        // work while sibling chunk boundaries stay exactly where an
-        // uncancelled run would put them.
-        if progress.observe(
-            specs,
-            disk.stats().since(&start_io).cost(spec0.sys.alpha),
-            || format!("vvm.batch.pass {}", passes + 1),
-        )? {
-            break;
-        }
-        let chunks: Vec<&[DocId]> = outer_ids
-            .iter()
-            .zip(&chunk_sizes)
-            .enumerate()
-            .map(|(si, (ids, &cs))| {
-                if progress.cancelled[si] {
-                    return &[] as &[DocId];
-                }
-                let lo = (k * cs).min(ids.len());
-                let hi = ((k + 1) * cs).min(ids.len());
-                &ids[lo..hi]
-            })
-            .collect();
-        if chunks.iter().all(|c| c.is_empty()) {
-            continue;
-        }
-        passes += 1;
-        for (si, c) in chunks.iter().enumerate() {
-            if !c.is_empty() {
-                accs[si].passes += 1;
-            }
-        }
-
-        let inner_cur = EntryCursor::new(
-            vvm::merged_entries(
-                inner_inv.scan_with_prefetch(spec0.prefetch_metrics("inv1")),
-                spec0.inner_delta,
-                0,
-                None,
-            ),
-            spec0,
-            &mut shared_skipped_entries,
-        )?;
-        let outer_cur = EntryCursor::new(
-            vvm::merged_entries(
-                outer_inv.scan_with_prefetch(spec0.prefetch_metrics("inv2")),
-                spec0.outer_delta,
-                0,
-                None,
-            ),
-            spec0,
-            &mut shared_skipped_entries,
-        )?;
-        vvm::merge_accumulate(
-            specs,
-            inner_cur,
-            outer_cur,
-            &chunks,
-            &tracker,
-            &mut sims,
-            &mut sim_ops,
-            &mut shared_skipped_entries,
-        )?;
-        for (si, spec) in specs.iter().enumerate() {
-            tracker.release(sims[si].nonzero() * ACC_BYTES);
-            vvm::emit_chunk(spec, chunks[si], &mut sims[si], &mut accs[si].rows);
-        }
-    }
-    for (a, &ops) in accs.iter_mut().zip(&sim_ops) {
-        a.sim_ops = ops;
-        a.cells_touched = ops;
-    }
-    // A closing checkpoint prices the last pass, as the sequential
-    // executor's per-pass checkpoint does.
-    progress.observe(
-        specs,
-        disk.stats().since(&start_io).cost(spec0.sys.alpha),
-        || format!("vvm.batch.pass {passes}"),
-    )?;
-
-    let io = disk.stats().since(&start_io);
-    Ok(finish(
-        Algorithm::Vvm,
-        spec0.sys.alpha,
-        accs,
-        &progress.cancelled,
-        io,
-        passes,
-        tracker.high_water(),
-        0,
-        shared_skipped_entries,
-        started,
-    ))
+    vvm::run(specs, inner_inv, outer_inv)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hvnl::HvnlOptions;
+    use crate::hvnl::{EvictionPolicy, OuterOrder};
+    use crate::spec::OuterDocs;
+    use crate::Weighting;
     use std::sync::Arc;
     use textjoin_collection::{Collection, SynthSpec};
     use textjoin_common::{CollectionStats, QueryParams, SystemParams};
@@ -845,7 +429,7 @@ mod tests {
         ));
         let mixed_degraded = [base, base.with_degraded()];
         assert!(matches!(
-            execute_hvnl(&mixed_degraded, &f.inv1, BatchOptions::default()),
+            execute_hvnl(&mixed_degraded, &f.inv1),
             Err(Error::InvalidArgument(_))
         ));
     }
@@ -949,27 +533,36 @@ mod tests {
             .map(|&l| base.with_query(QueryParams::paper_base().with_lambda(l)))
             .collect();
 
-        f.disk.reset_stats();
-        let seq = sequential_hvnl(&specs, &f.inv1);
-        let seq_reads: u64 = seq.iter().map(|o| o.stats.io.total_reads()).sum();
-        let seq_fetches: u64 = seq.iter().map(|o| o.stats.entry_fetches).sum();
-
-        for eviction in [
-            EvictionPolicy::BatchAggregateDf,
-            EvictionPolicy::LowestOuterDf,
-            EvictionPolicy::Lru,
+        for options in [
+            HvnlOptions::default(),
+            HvnlOptions {
+                eviction: EvictionPolicy::Lru,
+                ..HvnlOptions::default()
+            },
+            HvnlOptions {
+                order: OuterOrder::GreedyIntersection,
+                ..HvnlOptions::default()
+            },
         ] {
             f.disk.reset_stats();
-            let batch = execute_hvnl(&specs, &f.inv1, BatchOptions { eviction }).unwrap();
+            let seq: Vec<JoinOutcome> = specs
+                .iter()
+                .map(|s| crate::hvnl::execute_with(s, &f.inv1, options).unwrap())
+                .collect();
+            let seq_reads: u64 = seq.iter().map(|o| o.stats.io.total_reads()).sum();
+            let seq_fetches: u64 = seq.iter().map(|o| o.stats.entry_fetches).sum();
+
+            f.disk.reset_stats();
+            let batch = hvnl::run(&specs, &f.inv1, options).unwrap();
             for (b, s) in batch.queries.iter().zip(&seq) {
-                assert_eq!(b.result, s.result, "{eviction:?}");
+                assert_eq!(b.result, s.result, "{options:?}");
             }
             // The shared cache and the once-loaded dictionary: strictly
             // fewer reads than three sequential runs, and never more entry
             // fetches (an entry fetched for one query serves the rest).
             assert!(
                 batch.stats.io.total_reads() < seq_reads,
-                "{eviction:?}: batch {} vs sequential {seq_reads}",
+                "{options:?}: batch {} vs sequential {seq_reads}",
                 batch.stats.io.total_reads()
             );
             assert!(batch.stats.entry_fetches <= seq_fetches);
@@ -1033,7 +626,7 @@ mod tests {
         ];
 
         let batch_hh = execute_hhnl(&specs).unwrap();
-        let batch_hv = execute_hvnl(&specs, &f.inv1, BatchOptions::default()).unwrap();
+        let batch_hv = execute_hvnl(&specs, &f.inv1).unwrap();
         let batch_vv = execute_vvm(&specs, &f.inv1, &f.inv2).unwrap();
         for (i, spec) in specs.iter().enumerate() {
             let hh = crate::hhnl::execute(spec).unwrap();
@@ -1055,7 +648,7 @@ mod tests {
             base.with_outer_docs(OuterDocs::Selected(&a)),
             base.with_outer_docs(OuterDocs::Selected(&b)),
         ];
-        let batch = execute_hvnl(&specs, &f.inv1, BatchOptions::default()).unwrap();
+        let batch = execute_hvnl(&specs, &f.inv1).unwrap();
         let seq = sequential_hvnl(&specs, &f.inv1);
         for (bo, so) in batch.queries.iter().zip(&seq) {
             assert_eq!(bo.result, so.result);
@@ -1081,7 +674,7 @@ mod tests {
 
         let hv_seq = crate::hvnl::execute_with(&spec, &f.inv1, HvnlOptions::default()).unwrap();
         // BatchAggregateDf with one query IS LowestOuterDf.
-        let hv = execute_hvnl(&specs, &f.inv1, BatchOptions::default()).unwrap();
+        let hv = execute_hvnl(&specs, &f.inv1).unwrap();
         assert_eq!(hv.queries[0].result, hv_seq.result);
         assert_eq!(hv.stats.entry_fetches, hv_seq.stats.entry_fetches);
         assert_eq!(hv.stats.cache_hits, hv_seq.stats.cache_hits);
@@ -1117,8 +710,8 @@ mod tests {
             ),
             (
                 "hvnl",
-                execute_hvnl(&specs, &f.inv1, BatchOptions::default()).unwrap(),
-                execute_hvnl(&with_cancel, &f.inv1, BatchOptions::default()).unwrap(),
+                execute_hvnl(&specs, &f.inv1).unwrap(),
+                execute_hvnl(&with_cancel, &f.inv1).unwrap(),
             ),
             (
                 "vvm",
@@ -1150,10 +743,7 @@ mod tests {
         let run = |specs: &[JoinSpec<'_>]| {
             [
                 ("hhnl", execute_hhnl(specs)),
-                (
-                    "hvnl",
-                    execute_hvnl(specs, &f.inv1, BatchOptions::default()),
-                ),
+                ("hvnl", execute_hvnl(specs, &f.inv1)),
                 ("vvm", execute_vvm(specs, &f.inv1, &f.inv2)),
                 ("fnl", execute_fnl(specs, &index)),
             ]
@@ -1178,11 +768,21 @@ mod tests {
         }
     }
 
+    /// Every batch engine traces like its sequential run: one root span
+    /// carrying the pass count (VVM: and the partition count) and one
+    /// child span per pass — HVNL's single outer pass is its
+    /// `hvnl.outer_scan`, after the `hvnl.setup` phase — whose reads fall
+    /// within the batch's.
     #[test]
-    fn nested_loop_batches_trace_every_round() {
+    fn every_batch_algorithm_traces_its_passes() {
         let f = fixture(30, 20, 10.0, 60, 128, 55);
         let index = FnlIndex::build(Arc::clone(&f.disk), "c1", &f.c1).unwrap();
-        for (root_name, scan_name) in [("hhnl", "hhnl.inner_scan"), ("fnl", "fnl.sig_scan")] {
+        for (root_name, pass_name) in [
+            ("hhnl", "hhnl.inner_scan"),
+            ("fnl", "fnl.sig_scan"),
+            ("hvnl", "hvnl.outer_scan"),
+            ("vvm", "vvm.merge_pass"),
+        ] {
             let registry = Arc::new(textjoin_obs::Registry::new());
             let tracer = textjoin_obs::Tracer::with_registry(1_024, Arc::clone(&registry));
             let base = JoinSpec::new(&f.c1, &f.c2)
@@ -1192,31 +792,58 @@ mod tests {
             let specs = vec![base; 3];
             let batch = match root_name {
                 "hhnl" => execute_hhnl(&specs),
-                _ => execute_fnl(&specs, &index),
+                "fnl" => execute_fnl(&specs, &index),
+                "hvnl" => execute_hvnl(&specs, &f.inv1),
+                _ => execute_vvm(&specs, &f.inv1, &f.inv2),
             }
             .unwrap();
-            assert!(batch.stats.passes > 1, "{root_name}: several rounds");
+            if root_name != "hvnl" {
+                assert!(batch.stats.passes > 1, "{root_name}: several passes");
+            }
 
+            // VVM opens a root per partitioning attempt; the last one
+            // produced the result.
             let spans = tracer.finished();
-            let root = spans.iter().find(|s| s.name == root_name).expect("root");
-            assert!(root.fields.contains(&("passes", batch.stats.passes)));
-            let scans: Vec<_> = spans.iter().filter(|s| s.name == scan_name).collect();
-            assert_eq!(scans.len() as u64, batch.stats.passes, "{root_name}");
-            let scan_reads: u64 = scans
+            let root = spans
+                .iter()
+                .rfind(|s| s.name == root_name && s.parent == 0)
+                .expect("root");
+            let field = |name: &str| root.fields.iter().find(|(k, _)| *k == name).map(|f| f.1);
+            if root_name != "hvnl" {
+                assert_eq!(field("passes"), Some(batch.stats.passes), "{root_name}");
+            }
+            if root_name == "vvm" {
+                assert!(field("partitions").is_some_and(|p| p >= batch.stats.passes));
+            }
+            let children = |name: &str| -> Vec<_> {
+                spans
+                    .iter()
+                    .filter(|s| s.name == name && s.parent == root.id)
+                    .collect()
+            };
+            let passes = children(pass_name);
+            assert_eq!(passes.len() as u64, batch.stats.passes, "{root_name}");
+            if root_name == "hvnl" {
+                assert_eq!(children("hvnl.setup").len(), 1);
+                assert!(field("entry_fetches").is_some_and(|n| n == batch.stats.entry_fetches));
+                continue;
+            }
+            let pass_reads: u64 = passes
                 .iter()
                 .flat_map(|s| &s.fields)
                 .filter(|(k, _)| *k == "seq_reads" || *k == "rand_reads")
                 .map(|(_, v)| v)
                 .sum();
             assert!(
-                scan_reads > 0 && scan_reads <= batch.stats.io.total_reads(),
-                "{root_name}: scans read {scan_reads} of {}",
+                pass_reads > 0 && pass_reads <= batch.stats.io.total_reads(),
+                "{root_name}: passes read {pass_reads} of {}",
                 batch.stats.io.total_reads()
             );
             // The shared scan reports its readahead like a sequential run.
             let label = match root_name {
                 "hhnl" => "inner_scan",
-                _ => "fnl_sig_scan",
+                "fnl" => "fnl_sig_scan",
+                _ => "inv1",
             };
             assert!(
                 registry.counter("prefetch.issued", label).get() > 0,
@@ -1239,9 +866,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// The tentpole invariant: for every algorithm, executing a batch
-        /// of N ∈ {1, 3, 8} queries with λ ∈ {1, 5, 20} yields results
-        /// byte-identical to running each query alone (raw-count
-        /// weighting: integer-valued sums are exact in any order).
+        /// of N ∈ {1, 3, 8} queries with λ ∈ {1, 5, 20} and a weighting
+        /// drawn per query from {raw count, cosine, tf-idf} — mixed within
+        /// one batch — yields results byte-identical to running each query
+        /// alone. Each query's sums run in the same order whatever shares
+        /// its scan, so even fractional scores compare exactly.
         #[test]
         fn batch_equals_sequential_for_all_algorithms(
             n1 in 10u64..35,
@@ -1251,15 +880,22 @@ mod tests {
             seed in 0u64..1_000,
             n_idx in 0usize..3,
             lambda_seed in 0usize..27,
+            weighting_seed in 0usize..3,
         ) {
             let n = [1usize, 3, 8][n_idx];
             let lambda_pool = [1usize, 5, 20];
-            let lambdas: Vec<usize> = (0..n)
-                .map(|i| lambda_pool[(lambda_seed + i) % 3])
-                .collect();
+            let weightings = [Weighting::RawCount, Weighting::Cosine, Weighting::TfIdf];
             let f = fixture(n1, n2, 10.0, vocab, 128, seed);
+            let index = FnlIndex::build(Arc::clone(&f.disk), "c1", &f.c1).unwrap();
             let base = JoinSpec::new(&f.c1, &f.c2).with_sys(sys(buffer_pages, 128));
-            let specs = lambda_specs(base, &lambdas);
+            let specs: Vec<JoinSpec<'_>> = (0..n)
+                .map(|i| {
+                    base.with_query(
+                        QueryParams::paper_base().with_lambda(lambda_pool[(lambda_seed + i) % 3]),
+                    )
+                    .with_weighting(weightings[(weighting_seed + i) % 3])
+                })
+                .collect();
 
             // A budget too small for the mandatory structures is a
             // legitimate outcome for both modes, not a mismatch.
@@ -1275,7 +911,13 @@ mod tests {
                 }
                 prop_assert!(batch.stats.mem_high_water_bytes <= base.sys.buffer_bytes());
             }
-            if let Some(batch) = run(execute_hvnl(&specs, &f.inv1, BatchOptions::default()))? {
+            if let Some(batch) = run(execute_fnl(&specs, &index))? {
+                for (b, spec) in batch.queries.iter().zip(&specs) {
+                    let s = crate::fnl::execute(spec, &index).unwrap();
+                    prop_assert_eq!(&b.result, &s.result);
+                }
+            }
+            if let Some(batch) = run(execute_hvnl(&specs, &f.inv1))? {
                 for (b, spec) in batch.queries.iter().zip(&specs) {
                     let s = crate::hvnl::execute(spec, &f.inv1).unwrap();
                     prop_assert_eq!(&b.result, &s.result);
@@ -1332,7 +974,7 @@ mod tests {
             f.disk.set_fault_plan(plan);
 
             let batch_hh = execute_hhnl(&specs).unwrap();
-            let batch_hv = execute_hvnl(&specs, &f.inv1, BatchOptions::default()).unwrap();
+            let batch_hv = execute_hvnl(&specs, &f.inv1).unwrap();
             let batch_vv = execute_vvm(&specs, &f.inv1, &f.inv2).unwrap();
             for (i, spec) in specs.iter().enumerate() {
                 let hh = crate::hhnl::execute(spec).unwrap();

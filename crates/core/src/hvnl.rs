@@ -14,16 +14,34 @@
 //! Verification); the default is storage order, and a greedy
 //! largest-intersection order is available as the ablation the paper
 //! discusses (and warns about: it turns the outer scan into random I/O).
+//!
+//! `run` is the one HVNL engine, sequential (one query) and batched (`N`
+//! queries over one collection pair) alike. It loads the dictionary once,
+//! reads each participating outer document once — a scan of the outer
+//! collection when some query wants all of it, else the sorted union of
+//! the selections — and processes the document for every query that
+//! selects it against one shared entry cache, so an entry fetched for one
+//! query is a cache hit for the rest (`costmodel::hvs_batch`). Every query
+//! keys evictions by the same outer document frequency: the queries share
+//! the outer collection. The engine opens the `hvnl`, `hvnl.setup` and
+//! `hvnl.outer_scan` spans, checkpoints before every outer document
+//! through `batch::BatchProgress` (so a token set before the run stops it
+//! before the first document) and assembles the outcome once
+//! (`batch::finish`). [`execute`] and [`execute_with`] are the batch of
+//! one.
 
+use crate::batch::{self, BatchOutcome, BatchProgress, QueryAcc};
 use crate::kernel::{Added, SimRows};
+use crate::nl::readable;
 use crate::report::observe_phase_sim_io;
-use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::{Checkpoint, JoinSpec};
+use crate::result::JoinOutcome;
+use crate::spec::{JoinSpec, OuterDocs};
 use crate::topk::TopK;
+use crate::vvm::max_entry_bytes;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 use textjoin_collection::Document;
-use textjoin_common::{DCell, DocId, Error, Result, TermId};
+use textjoin_common::{DCell, DocId, Result, TermId};
 use textjoin_costmodel::Algorithm;
 use textjoin_invfile::InvertedFile;
 use textjoin_obs::{Histogram, Tracer, LATENCY_BOUNDS_NS};
@@ -38,13 +56,6 @@ pub enum EvictionPolicy {
     LowestOuterDf,
     /// Plain least-recently-used, as the ablation baseline.
     Lru,
-    /// Batch-engine variant of the paper's policy: the eviction key is the
-    /// term's document frequency *aggregated over every query in the
-    /// batch* (a query whose weighting zeroes the term contributes
-    /// nothing), so the entry least demanded by the batch as a whole goes
-    /// first. For a single query this coincides with
-    /// [`EvictionPolicy::LowestOuterDf`].
-    BatchAggregateDf,
 }
 
 /// Order in which outer documents are processed.
@@ -74,21 +85,34 @@ pub fn execute(spec: &JoinSpec<'_>, inner_inv: &InvertedFile) -> Result<JoinOutc
     execute_with(spec, inner_inv, HvnlOptions::default())
 }
 
-/// Executes the join with HVNL under explicit options.
+/// Executes the join with HVNL under explicit options: the engine run as
+/// a batch of one.
 pub fn execute_with(
     spec: &JoinSpec<'_>,
     inner_inv: &InvertedFile,
     options: HvnlOptions,
 ) -> Result<JoinOutcome> {
+    run(std::slice::from_ref(spec), inner_inv, options).map(BatchOutcome::into_single)
+}
+
+/// Runs HVNL for `specs` (validated as one batch) against one dictionary
+/// and one entry cache.
+pub(crate) fn run(
+    specs: &[JoinSpec<'_>],
+    inner_inv: &InvertedFile,
+    options: HvnlOptions,
+) -> Result<BatchOutcome> {
+    batch::validate(specs)?;
     let started = Instant::now();
-    let mut root = Tracer::maybe(spec.trace, "hvnl");
-    let disk = spec.inner.store().disk();
+    let spec0 = &specs[0];
+    let mut root = Tracer::maybe(spec0.trace, "hvnl");
+    let disk = spec0.inner.store().disk();
     let start_io = disk.stats();
-    // Constructed at the same point as the stats baseline, so the ticket's
-    // thread-local tally covers the setup I/O (the B+tree dictionary load
-    // below) that the first checkpoint reports.
-    let mut progress = Checkpoint::new();
-    let tracker = MemTracker::new(&spec.sys);
+    // At the I/O baseline, so the tickets' thread-local tally covers the
+    // setup reads (the dictionary load, a preload) that the first
+    // checkpoint reports.
+    let mut progress = BatchProgress::new(specs);
+    let tracker = MemTracker::new(&spec0.sys);
 
     // One-time cost: read the whole B+tree into memory (Bt1) and keep it
     // resident for the duration of the join. A corrupt dictionary is a
@@ -99,24 +123,25 @@ pub fn execute_with(
     tracker.allocate(dict.size_bytes().max(1), "HVNL B+tree dictionary")?;
     // Room for the outer document currently being processed (⌈S2⌉).
     tracker.allocate(
-        spec.outer.store().max_doc_bytes().max(1),
+        spec0.outer.store().max_doc_bytes().max(1),
         "HVNL outer document slot",
     )?;
-    // Room for the λ result slots built per outer document.
-    tracker.allocate(TopK::budget_bytes(spec.query.lambda), "HVNL result heap")?;
+    // Room for the λ result slots built per outer document; one heap
+    // lives at a time, so the batch's largest λ sizes it.
+    let heap_bytes = specs.iter().map(|s| TopK::budget_bytes(s.query.lambda));
+    tracker.allocate(heap_bytes.max().unwrap_or(0), "HVNL result heap")?;
     // Room for the entry currently being fetched (the paper budgets the
     // average ⌈J1⌉; we reserve the worst case so even an entry that cannot
     // be cached can still be streamed through without busting the budget).
-    let max_entry = (0..inner_inv.num_entries() as u32)
-        .map(|o| inner_inv.entry_bytes(o))
-        .max()
-        .unwrap_or(0);
-    tracker.allocate(max_entry.max(1), "HVNL current entry buffer")?;
+    tracker.allocate(
+        max_entry_bytes(inner_inv).max(1),
+        "HVNL current entry buffer",
+    )?;
 
     // With a registry-backed tracer attached, each inverted-entry lookup
     // is timed separately by outcome, making the cache-hit vs disk-fetch
     // latency gap directly observable.
-    let lookup_hists = spec.trace.and_then(|t| t.registry()).map(|r| {
+    let lookup_hists = spec0.trace.and_then(|t| t.registry()).map(|r| {
         (
             r.histogram("hvnl.entry_hit_ns", "", &LATENCY_BOUNDS_NS),
             r.histogram("hvnl.entry_fetch_ns", "", &LATENCY_BOUNDS_NS),
@@ -128,58 +153,44 @@ pub fn execute_with(
         &tracker,
         options.eviction,
         lookup_hists,
-        spec.inner_id_bound(),
+        spec0.inner_id_bound(),
     );
-    // A single query keys evictions by its own outer document frequencies
-    // (the batch engine substitutes aggregate demand here).
-    let insert_df = |t: TermId| u64::from(spec.outer.profile().doc_frequency(t));
-    let mut counters = HvnlCounters::default();
-    let mut rows: Vec<(DocId, Vec<Match>)> = Vec::new();
-    let mut skipped_docs = 0u64;
-    let mut cancelled = false;
-
     // Section 5.2, case X ≥ T1: when the entire inner inverted file fits in
     // the remaining memory and one sequential scan of it (I1 pages) is
     // cheaper than fetching the needed entries at the random rate, read it
     // in up front.
-    state.maybe_preload_inverted_file(spec, &insert_df)?;
+    state.maybe_preload_inverted_file(spec0)?;
     if setup_span.is_enabled() {
         let d = disk.stats().since(&start_io);
         setup_span.record("seq_reads", d.seq_reads);
         setup_span.record("rand_reads", d.rand_reads);
         setup_span.record("preloaded_entries", state.cache.len() as u64);
-        observe_phase_sim_io(spec.trace, "hvnl.setup", &d, spec.sys.alpha);
+        observe_phase_sim_io(spec0.trace, "hvnl.setup", &d, spec0.sys.alpha);
     }
     drop(setup_span);
 
+    let mut accs: Vec<QueryAcc> = specs.iter().map(|_| QueryAcc::default()).collect();
+    let mut shared_skipped_docs = 0u64;
+    let mut outer = OuterPass::new(specs);
+    let mut docs = 0u64;
     let scan_io_start = disk.stats();
     let mut scan_span = root.child("hvnl.outer_scan");
+    // Outer documents are the checkpoint grain: HVNL's cost accrues per
+    // document (entry fetches). A query latched as cancelled keeps the
+    // rows already scored and takes no part in later documents.
+    let checkpoint = |progress: &mut BatchProgress, docs: u64| {
+        let cost = disk.stats().since(&start_io).cost(spec0.sys.alpha);
+        progress.observe(specs, cost, || format!("hvnl.outer_doc {docs}"))
+    };
     match options.order {
         OuterOrder::Storage => {
-            for item in spec.outer_iter() {
-                let (id, doc) = match item {
-                    Ok(pair) => pair,
-                    Err(e) if spec.skippable(&e) => {
-                        skipped_docs += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
+            while !checkpoint(&mut progress, docs)? {
+                let Some((id, doc)) = outer.next(specs, &mut accs, &mut shared_skipped_docs)?
+                else {
+                    break;
                 };
-                state.process_outer_doc(spec, id, &doc, &insert_df, &mut counters, &mut rows)?;
-                // Watchdog/introspection checkpoint: HVNL's cost accrues
-                // per outer document (entry fetches), so that is its
-                // granularity. A cancel keeps the rows already scored.
-                match spec.checkpoint(
-                    &mut progress,
-                    disk.stats().since(&start_io).cost(spec.sys.alpha),
-                    || format!("hvnl.outer_doc {}", rows.len()),
-                ) {
-                    Err(Error::Cancelled { .. }) => {
-                        cancelled = true;
-                        break;
-                    }
-                    other => other?,
-                }
+                docs += 1;
+                state.process_outer_doc(specs, &progress.cancelled, id, &doc, &mut accs)?;
             }
         }
         OuterOrder::GreedyIntersection => {
@@ -187,20 +198,12 @@ pub fn execute_with(
             // then process them in greedy max-intersection order.
             let mut remaining: Vec<(DocId, Document)> = Vec::new();
             let mut held_bytes = 0u64;
-            for item in spec.outer_iter() {
-                let (id, doc) = match item {
-                    Ok(pair) => pair,
-                    Err(e) if spec.skippable(&e) => {
-                        skipped_docs += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
+            while let Some((id, doc)) = outer.next(specs, &mut accs, &mut shared_skipped_docs)? {
                 held_bytes += doc.size_bytes().max(1);
                 tracker.allocate(doc.size_bytes().max(1), "HVNL greedy-order document set")?;
                 remaining.push((id, doc));
             }
-            while !remaining.is_empty() {
+            while !remaining.is_empty() && !checkpoint(&mut progress, docs)? {
                 let best = remaining
                     .iter()
                     .enumerate()
@@ -213,39 +216,28 @@ pub fn execute_with(
                     .map(|(i, _)| i)
                     .expect("non-empty");
                 let (id, doc) = remaining.swap_remove(best);
-                state.process_outer_doc(spec, id, &doc, &insert_df, &mut counters, &mut rows)?;
-                match spec.checkpoint(
-                    &mut progress,
-                    disk.stats().since(&start_io).cost(spec.sys.alpha),
-                    || format!("hvnl.greedy_doc {}", rows.len()),
-                ) {
-                    Err(Error::Cancelled { .. }) => {
-                        cancelled = true;
-                        break;
-                    }
-                    other => other?,
-                }
+                docs += 1;
+                state.process_outer_doc(specs, &progress.cancelled, id, &doc, &mut accs)?;
             }
             tracker.release(held_bytes);
         }
     }
-
-    let (entry_fetches, cache_hits, sim_ops) = (
-        counters.entry_fetches,
-        counters.cache_hits,
-        counters.sim_ops,
-    );
-    let skipped_entries = counters.skipped_entries;
+    // A closing checkpoint prices the last document's fetches.
+    checkpoint(&mut progress, docs)?;
     drop(state);
+
+    let (entry_fetches, cache_hits, sim_ops) = accs.iter().fold((0, 0, 0), |(f, h, o), a| {
+        (f + a.entry_fetches, h + a.cache_hits, o + a.sim_ops)
+    });
     if scan_span.is_enabled() {
         scan_span.record("entry_fetches", entry_fetches);
         scan_span.record("cache_hits", cache_hits);
         scan_span.record("sim_ops", sim_ops);
         observe_phase_sim_io(
-            spec.trace,
+            spec0.trace,
             "hvnl.outer_scan",
             &disk.stats().since(&scan_io_start),
-            spec.sys.alpha,
+            spec0.sys.alpha,
         );
     }
     drop(scan_span);
@@ -255,33 +247,107 @@ pub fn execute_with(
         root.record("rand_reads", io.rand_reads);
         root.record("entry_fetches", entry_fetches);
         root.record("cache_hits", cache_hits);
-        observe_phase_sim_io(spec.trace, "hvnl", &io, spec.sys.alpha);
+        observe_phase_sim_io(spec0.trace, "hvnl", &io, spec0.sys.alpha);
     }
-    let stats = ExecStats {
-        io,
-        cost: io.cost(spec.sys.alpha),
-        mem_high_water_bytes: tracker.high_water(),
-        passes: 1,
-        entry_fetches,
-        cache_hits,
-        sim_ops,
+    for acc in &mut accs {
+        acc.passes = 1;
         // HVNL only ever visits non-zero cells: every touch is an op.
-        cells_touched: sim_ops,
-        skipped_docs,
-        skipped_entries,
-        wall_ns: started.elapsed().as_nanos() as u64,
-        ..ExecStats::zero(Algorithm::Hvnl)
-    };
-    let quality = if cancelled {
-        ResultQuality::Partial
-    } else {
-        stats.quality()
-    };
-    Ok(JoinOutcome {
-        result: JoinResult::from_rows(rows),
-        quality,
-        stats,
-    })
+        acc.cells_touched = acc.sim_ops;
+    }
+    Ok(batch::finish(
+        Algorithm::Hvnl,
+        spec0.sys.alpha,
+        accs,
+        &progress.cancelled,
+        io,
+        1,
+        tracker.high_water(),
+        shared_skipped_docs,
+        0,
+        started,
+    ))
+}
+
+/// The batch's participating outer documents, each read once: a scan of
+/// the outer collection when some query wants all of it (`outer_iter`
+/// folds in the shared outer delta), else the sorted union of the
+/// selections, each document read directly.
+enum OuterPass<'a> {
+    Scan(Box<dyn Iterator<Item = Result<(DocId, Document)>> + 'a>),
+    Union(std::vec::IntoIter<DocId>),
+}
+
+impl<'a> OuterPass<'a> {
+    fn new(specs: &[JoinSpec<'a>]) -> Self {
+        if let Some(full) = specs
+            .iter()
+            .find(|s| matches!(s.outer_docs, OuterDocs::Full))
+        {
+            return OuterPass::Scan(full.outer_iter());
+        }
+        let mut union: Vec<DocId> = specs
+            .iter()
+            .flat_map(|s| match s.outer_docs {
+                OuterDocs::Full => &[],
+                OuterDocs::Selected(ids) => ids,
+            })
+            .copied()
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        OuterPass::Union(union.into_iter())
+    }
+
+    /// The next readable document. In degraded mode an unreadable one is
+    /// skipped and counted against the queries that wanted it: all of
+    /// them for a scan, those that selected it otherwise.
+    fn next(
+        &mut self,
+        specs: &[JoinSpec<'_>],
+        accs: &mut [QueryAcc],
+        shared_skipped_docs: &mut u64,
+    ) -> Result<Option<(DocId, Document)>> {
+        let spec0 = &specs[0];
+        loop {
+            match self {
+                OuterPass::Scan(iter) => {
+                    let Some(item) = iter.next() else {
+                        return Ok(None);
+                    };
+                    if let Some(pair) = readable(spec0, item, shared_skipped_docs)? {
+                        return Ok(Some(pair));
+                    }
+                }
+                OuterPass::Union(ids) => {
+                    let Some(id) = ids.next() else {
+                        return Ok(None);
+                    };
+                    match spec0.read_selected_outer(id) {
+                        None => {}
+                        Some(Ok(doc)) => return Ok(Some((id, doc))),
+                        Some(Err(e)) if spec0.skippable(&e) => {
+                            for (spec, acc) in specs.iter().zip(accs.iter_mut()) {
+                                acc.skipped_docs += u64::from(outer_participates(spec, id));
+                            }
+                        }
+                        Some(Err(e)) => return Err(e),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Whether `id` is one of the spec's participating outer documents. A
+/// tombstoned document never participates, whatever the selection.
+fn outer_participates(spec: &JoinSpec<'_>, id: DocId) -> bool {
+    if spec.outer_delta.is_some_and(|d| d.is_deleted(id)) {
+        return false;
+    }
+    match spec.outer_docs {
+        OuterDocs::Full => true,
+        OuterDocs::Selected(ids) => ids.binary_search(&id).is_ok(),
+    }
 }
 
 /// Bytes a cached entry charges: its i-cells plus one resident-term-list
@@ -291,20 +357,10 @@ fn cached_entry_bytes(cells: &[textjoin_common::ICell]) -> u64 {
     (cells.len() * textjoin_common::CELL_BYTES + textjoin_common::NUMBER_BYTES) as u64
 }
 
-/// Lookup accounting for one query's share of an HVNL (or batch-HVNL) run.
-#[derive(Default)]
-pub(crate) struct HvnlCounters {
-    pub(crate) entry_fetches: u64,
-    pub(crate) cache_hits: u64,
-    pub(crate) sim_ops: u64,
-    /// Degraded mode: inverted entries skipped because they were unreadable.
-    pub(crate) skipped_entries: u64,
-}
-
 /// Lifecycle of the one-shot delta-postings materialization. The overlay
 /// cannot change while an executor holds it (mutation needs
-/// `&mut LiveCollection`), and the batch engine validates that every spec
-/// of a batch shares the same overlay pointer per side, so a single
+/// `&mut LiveCollection`), and `batch::validate` checks that every spec of
+/// a batch shares the same overlay pointer per side, so a single
 /// materialization serves the whole run.
 enum DeltaPostings {
     /// No delta lookup has happened yet.
@@ -320,18 +376,17 @@ enum DeltaPostings {
 }
 
 /// The spec-independent heart of HVNL: the loaded dictionary, the shared
-/// entry cache and the per-document accumulator scratch space. The
-/// sequential executor drives it with one spec; the batch engine
-/// (`crate::batch`) drives it with one spec per query against the *same*
-/// cache, which is exactly where the batched I/O saving comes from.
-pub(crate) struct EntryJoinState<'b> {
+/// entry cache and the per-document accumulator scratch space. `run`
+/// processes each outer document for every query of the batch against the
+/// *same* cache, which is exactly where the batched I/O saving comes from.
+struct EntryJoinState<'b> {
     inner_inv: &'b InvertedFile,
     dict: textjoin_invfile::Dictionary,
     tracker: &'b MemTracker,
     cache: EntryCache,
     /// Similarity accumulators of the current (outer document, query)
     /// pair: one slot, one sum per inner document. Drained after each call
-    /// to [`Self::process_outer_doc`].
+    /// to `Self::process_for`.
     sims: SimRows,
     acc_bytes: u64,
     /// Inner-delta postings, materialized with one sequential scan of the
@@ -344,7 +399,7 @@ pub(crate) struct EntryJoinState<'b> {
 }
 
 impl<'b> EntryJoinState<'b> {
-    pub(crate) fn new(
+    fn new(
         inner_inv: &'b InvertedFile,
         dict: textjoin_invfile::Dictionary,
         tracker: &'b MemTracker,
@@ -368,11 +423,7 @@ impl<'b> EntryJoinState<'b> {
     /// sequential scan when (a) it fits in the available memory and (b) the
     /// scan is cheaper than the expected on-demand random fetches — the
     /// first case of the paper's `hvs` formula.
-    pub(crate) fn maybe_preload_inverted_file(
-        &mut self,
-        spec: &JoinSpec<'_>,
-        insert_df: &dyn Fn(TermId) -> u64,
-    ) -> Result<()> {
+    fn maybe_preload_inverted_file(&mut self, spec: &JoinSpec<'_>) -> Result<()> {
         let inv = self.inner_inv;
         if inv.num_entries() == 0 {
             return Ok(());
@@ -410,19 +461,36 @@ impl<'b> EntryJoinState<'b> {
             let bytes = cached_entry_bytes(&cells);
             self.tracker
                 .allocate(bytes, "HVNL preloaded inverted file")?;
-            self.cache.insert(term, cells, bytes, insert_df(term));
+            self.cache.insert(term, cells, bytes, outer_df(spec, term));
         }
         Ok(())
     }
 
-    pub(crate) fn process_outer_doc(
+    /// Processes one outer document for every live query that selects it,
+    /// in query order.
+    fn process_outer_doc(
+        &mut self,
+        specs: &[JoinSpec<'_>],
+        cancelled: &[bool],
+        outer_id: DocId,
+        doc: &Document,
+        accs: &mut [QueryAcc],
+    ) -> Result<()> {
+        for (si, spec) in specs.iter().enumerate() {
+            if !cancelled[si] && outer_participates(spec, outer_id) {
+                self.process_for(spec, outer_id, doc, &mut accs[si])?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Scores one outer document for one query and appends its row.
+    fn process_for(
         &mut self,
         spec: &JoinSpec<'_>,
         outer_id: DocId,
         doc: &Document,
-        insert_df: &dyn Fn(TermId) -> u64,
-        counters: &mut HvnlCounters,
-        rows: &mut Vec<(DocId, Vec<Match>)>,
+        acc: &mut QueryAcc,
     ) -> Result<()> {
         // Terms whose entries are already in memory are considered first
         // (section 4.2's reuse optimization); order within each group stays
@@ -443,20 +511,20 @@ impl<'b> EntryJoinState<'b> {
             // Terms that do not appear in C1 have no entry and cost nothing.
             self.cache.unpin(cell.term);
             if let Some(entry) = self.dict.lookup(cell.term) {
-                self.accumulate_term(spec, outer_id, cell, entry.ordinal, insert_df, counters)?;
+                self.accumulate_term(spec, outer_id, cell, entry.ordinal, acc)?;
             }
             // Inner delta documents contribute through the overlay's side
             // postings — consulted for dictionary-known *and* delta-only
             // terms, since an inserted document may introduce new terms.
             if let Some(overlay) = spec.inner_delta {
-                self.accumulate_delta_term(spec, outer_id, cell, overlay, counters)?;
+                self.accumulate_delta_term(spec, outer_id, cell, overlay, acc)?;
             }
         }
 
         // Extract the λ best inner documents for this outer document.
         let mut topk = TopK::new(spec.query.lambda);
         self.sims.emit(0, spec, outer_id, &mut topk);
-        rows.push((outer_id, topk.into_matches()));
+        acc.rows.push((outer_id, topk.into_matches()));
 
         self.tracker.release(self.acc_bytes);
         self.acc_bytes = 0;
@@ -469,8 +537,7 @@ impl<'b> EntryJoinState<'b> {
         outer_id: DocId,
         cell: &DCell,
         ordinal: u32,
-        insert_df: &dyn Fn(TermId) -> u64,
-        counters: &mut HvnlCounters,
+        acc: &mut QueryAcc,
     ) -> Result<()> {
         let factor = spec.weighting.term_factor(cell.term, spec.inner.profile());
         if factor == 0.0 {
@@ -484,9 +551,9 @@ impl<'b> EntryJoinState<'b> {
         // Accumulate while the cached postings are borrowed; the memory
         // charge, which may evict them, comes after.
         if let Some(cells) = self.cache.get(cell.term) {
-            counters.cache_hits += 1;
+            acc.cache_hits += 1;
             let added = accumulate(&mut self.sims, spec, outer_id, cell.weight, factor, cells);
-            self.charge_accumulators(added, counters)?;
+            self.charge_accumulators(added, acc)?;
             if let (Some((hit, _)), Some(t0)) = (&self.lookup_hists, lookup_start) {
                 hit.observe(t0.elapsed().as_nanos() as u64);
             }
@@ -497,11 +564,11 @@ impl<'b> EntryJoinState<'b> {
         // fetch still counts as a fetch attempt; in degraded mode the
         // unreadable entry is skipped (its postings contribute nothing)
         // and counted, rather than failing the whole join.
-        counters.entry_fetches += 1;
+        acc.entry_fetches += 1;
         let cells = match self.inner_inv.read_entry(ordinal) {
             Ok(cells) => cells,
             Err(e) if spec.skippable(&e) => {
-                counters.skipped_entries += 1;
+                acc.skipped_entries += 1;
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -520,14 +587,14 @@ impl<'b> EntryJoinState<'b> {
                     // Nothing left to evict: accumulate without caching.
                     let added =
                         accumulate(&mut self.sims, spec, outer_id, cell.weight, factor, &cells);
-                    return self.charge_accumulators(added, counters);
+                    return self.charge_accumulators(added, acc);
                 }
             }
         }
         let added = accumulate(&mut self.sims, spec, outer_id, cell.weight, factor, &cells);
-        self.charge_accumulators(added, counters)?;
+        self.charge_accumulators(added, acc)?;
         self.cache
-            .insert(cell.term, cells, bytes, insert_df(cell.term));
+            .insert(cell.term, cells, bytes, outer_df(spec, cell.term));
         Ok(())
     }
 
@@ -546,7 +613,7 @@ impl<'b> EntryJoinState<'b> {
         outer_id: DocId,
         cell: &DCell,
         overlay: &textjoin_invfile::DeltaOverlay,
-        counters: &mut HvnlCounters,
+        acc: &mut QueryAcc,
     ) -> Result<()> {
         let factor = spec.weighting.term_factor(cell.term, spec.inner.profile());
         if factor == 0.0 {
@@ -565,20 +632,20 @@ impl<'b> EntryJoinState<'b> {
                 // The delta is unreadable: every lookup that would have
                 // consulted it is a counted skip, so any query touching
                 // the dropped overlay reports a Partial result.
-                counters.skipped_entries += 1;
+                acc.skipped_entries += 1;
                 return Ok(());
             }
             DeltaPostings::PerTerm => match overlay.postings_for(cell.term) {
                 Ok(cells) => accumulate(&mut self.sims, spec, outer_id, weight, factor, &cells),
                 Err(e) if spec.skippable(&e) => {
-                    counters.skipped_entries += 1;
+                    acc.skipped_entries += 1;
                     return Ok(());
                 }
                 Err(e) => return Err(e),
             },
             DeltaPostings::Unbuilt => unreachable!("built above"),
         };
-        self.charge_accumulators(added, counters)
+        self.charge_accumulators(added, acc)
     }
 
     /// One-shot materialization of the inner delta overlay: a single
@@ -624,8 +691,8 @@ impl<'b> EntryJoinState<'b> {
     /// discretionary, shrinks before mandatory accumulator space is given
     /// up on. Either way the evictions and the high-water mark are those
     /// of charging each pair as it is first touched.
-    fn charge_accumulators(&mut self, added: Added, counters: &mut HvnlCounters) -> Result<()> {
-        counters.sim_ops += added.pairs;
+    fn charge_accumulators(&mut self, added: Added, acc: &mut QueryAcc) -> Result<()> {
+        acc.sim_ops += added.pairs;
         let bytes = 4 * added.fresh;
         if bytes == 0
             || self
@@ -675,6 +742,13 @@ fn accumulate(
             .iter()
             .filter(|ic| spec.inner_doc_allowed(ic.doc) && spec.pair_allowed(ic.doc, outer_id)),
     )
+}
+
+/// The eviction key of the paper's policy: the term's document frequency
+/// in the outer collection. The queries of a batch share that collection,
+/// so one key serves them all.
+fn outer_df(spec: &JoinSpec<'_>, term: TermId) -> u64 {
+    u64::from(spec.outer.profile().doc_frequency(term))
 }
 
 /// The in-memory entry cache with its two replacement policies.
@@ -730,16 +804,15 @@ impl EntryCache {
         Some(&slot.cells)
     }
 
-    /// Caches an entry. `df` is the demand estimate the policy keys
-    /// evictions by: the term's outer document frequency for
-    /// [`EvictionPolicy::LowestOuterDf`], the batch-aggregated frequency
-    /// for [`EvictionPolicy::BatchAggregateDf`] (ignored under LRU). Ties
-    /// on `df` break by term id, so eviction order is reproducible.
+    /// Caches an entry. `df` is the term's outer document frequency, the
+    /// key [`EvictionPolicy::LowestOuterDf`] evicts by (ignored under
+    /// LRU). Ties on `df` break by term id, so eviction order is
+    /// reproducible.
     fn insert(&mut self, term: TermId, cells: Vec<textjoin_common::ICell>, bytes: u64, df: u64) {
         debug_assert!(!self.entries.contains_key(&term));
         self.tick += 1;
         let key = match self.policy {
-            EvictionPolicy::LowestOuterDf | EvictionPolicy::BatchAggregateDf => (df, term.raw()),
+            EvictionPolicy::LowestOuterDf => (df, term.raw()),
             EvictionPolicy::Lru => (self.tick, term.raw()),
         };
         self.order.insert(key);
@@ -1006,56 +1079,33 @@ mod tests {
     /// in — `evict_one` is reproducible across runs and executors.
     #[test]
     fn equal_df_ties_evict_in_ascending_term_order() {
-        for policy in [
-            EvictionPolicy::LowestOuterDf,
-            EvictionPolicy::BatchAggregateDf,
-        ] {
-            let cells = vec![ICell::new(DocId::new(0), 1)];
-            let mut forward = EntryCache::new(policy);
-            let mut reverse = EntryCache::new(policy);
-            let terms = [9u32, 3, 27, 14, 5];
-            for &t in &terms {
-                forward.insert(TermId::new(t), cells.clone(), 8, 7);
-            }
-            for &t in terms.iter().rev() {
-                reverse.insert(TermId::new(t), cells.clone(), 8, 7);
-            }
-            let drain = |mut c: EntryCache| {
-                let mut order = Vec::new();
-                while c.evict_one().is_some() {
-                    let survivors: Vec<u32> = terms
-                        .iter()
-                        .copied()
-                        .filter(|&t| c.contains(TermId::new(t)))
-                        .collect();
-                    order.push(survivors);
-                }
-                order
-            };
-            let f = drain(forward);
-            assert_eq!(f, drain(reverse), "{policy:?}: order depends on insertion");
-            // Ascending term order: 3 goes first, 27 survives longest.
-            assert!(
-                !f[0].contains(&3),
-                "{policy:?}: lowest term id evicts first"
-            );
-            assert_eq!(f[3], vec![27], "{policy:?}: highest term id evicts last");
-        }
-    }
-
-    /// BatchAggregateDf keys evictions by the caller-supplied aggregate
-    /// demand, not the single-query df — higher aggregate survives longer.
-    #[test]
-    fn batch_aggregate_df_orders_by_aggregate_demand() {
-        let mut cache = EntryCache::new(EvictionPolicy::BatchAggregateDf);
         let cells = vec![ICell::new(DocId::new(0), 1)];
-        // Term 1 is rare per query but demanded by many queries; term 2 is
-        // frequent in one query and zero-weighted in the rest.
-        cache.insert(TermId::new(1), cells.clone(), 8, 4 * 3);
-        cache.insert(TermId::new(2), cells.clone(), 8, 9);
-        cache.evict_one();
-        assert!(cache.contains(TermId::new(1)), "aggregate demand wins");
-        assert!(!cache.contains(TermId::new(2)));
+        let mut forward = EntryCache::new(EvictionPolicy::LowestOuterDf);
+        let mut reverse = EntryCache::new(EvictionPolicy::LowestOuterDf);
+        let terms = [9u32, 3, 27, 14, 5];
+        for &t in &terms {
+            forward.insert(TermId::new(t), cells.clone(), 8, 7);
+        }
+        for &t in terms.iter().rev() {
+            reverse.insert(TermId::new(t), cells.clone(), 8, 7);
+        }
+        let drain = |mut c: EntryCache| {
+            let mut order = Vec::new();
+            while c.evict_one().is_some() {
+                let survivors: Vec<u32> = terms
+                    .iter()
+                    .copied()
+                    .filter(|&t| c.contains(TermId::new(t)))
+                    .collect();
+                order.push(survivors);
+            }
+            order
+        };
+        let f = drain(forward);
+        assert_eq!(f, drain(reverse), "order depends on insertion");
+        // Ascending term order: 3 goes first, 27 survives longest.
+        assert!(!f[0].contains(&3), "lowest term id evicts first");
+        assert_eq!(f[3], vec![27], "highest term id evicts last");
     }
 
     use proptest::prelude::*;

@@ -56,7 +56,7 @@ pub mod topk;
 pub mod vvm;
 pub mod weighting;
 
-pub use batch::{BatchOptions, BatchOutcome};
+pub use batch::BatchOutcome;
 pub use fnl::FnlOptions;
 pub use report::{
     observation_from_json, PhaseDuration, QueryReport, SlowLogRank, SlowQueryLog, SIM_PAGE_NS,

@@ -38,6 +38,7 @@ use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
 use crate::topk::TopK;
 use crate::{hhnl, hvnl, vvm, Algorithm};
+use std::cell::Cell;
 use std::time::Instant;
 use textjoin_common::{DocId, Error, Result, SystemParams, TermId};
 use textjoin_invfile::InvertedFile;
@@ -257,31 +258,23 @@ pub fn execute_vvm(
     }
 
     let ranges = term_ranges(inner_inv, outer_inv, workers);
+    let num_outer = outer_ids.len() as u64;
+    let specs = std::slice::from_ref(spec);
+    let first =
+        vvm::estimate_partitions(specs, &[num_outer], inner_inv, outer_inv, workers as u64)?;
     let disk = spec.inner.store().disk();
-    let mut partitions = vvm::estimate_partitions(
-        spec,
-        inner_inv,
-        outer_inv,
-        outer_ids.len() as u64,
-        workers as u64,
-    )?;
-    let mut retries = vvm::Repartitions::default();
-    loop {
-        let before = disk.stats();
-        match run_vvm(
-            spec, inner_inv, outer_inv, &outer_ids, &ranges, partitions, retries,
-        ) {
-            Ok(outcome) => return Ok(outcome),
-            Err(Error::InsufficientMemory { .. }) if partitions < outer_ids.len() as u64 => {
-                // The δ estimate undershot the real non-zero density;
-                // re-partition more finely and rerun, exactly like the
-                // sequential executor's recovery.
-                retries.note(disk.stats().since(&before).cost(spec.sys.alpha));
-                partitions = (partitions * 2).min(outer_ids.len() as u64);
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    let attempt_io = Cell::new(disk.stats());
+    vvm::with_repartitions(
+        first,
+        num_outer,
+        |partitions, retries| {
+            attempt_io.set(disk.stats());
+            run_vvm(
+                spec, inner_inv, outer_inv, &outer_ids, &ranges, partitions, retries,
+            )
+        },
+        || disk.stats().since(&attempt_io.get()).cost(spec.sys.alpha),
+    )
 }
 
 /// Splits the inner file's ordinals into document-frequency-weighted
@@ -511,6 +504,7 @@ fn run_vvm(
             cancelled = true;
             break;
         }
+        spec.check_cost_budget(io_sum.cost(spec.sys.alpha))?;
     }
 
     let io = disk.stats().since(&start_io);
@@ -796,6 +790,34 @@ mod tests {
         let got = execute_vvm(&spec, &inv1, &inv2, 3).unwrap();
         let want = naive_join(&d1, &d2, OuterDocs::Full, 5, crate::Weighting::Cosine);
         assert!(got.result.approx_eq(&want, 1e-9));
+    }
+
+    /// A watched plan re-plans when its run overruns the page budget, so
+    /// every parallel algorithm must honour it: the outer-partitioned
+    /// workers at their own checkpoints, term-range VVM at each pass
+    /// boundary against the workers' summed reads.
+    #[test]
+    fn every_parallel_algorithm_enforces_the_cost_budget() {
+        let (disk, c1, c2, inv1, inv2, _, _) = inv_fixture();
+        let index = textjoin_invfile::FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
+        let spec = JoinSpec::new(&c1, &c2)
+            .with_sys(SystemParams {
+                buffer_pages: 64,
+                page_size: 512,
+                alpha: 5.0,
+            })
+            .with_cost_budget(1.0);
+        for (name, got) in [
+            ("hhnl", execute_hhnl(&spec, 2)),
+            ("hvnl", execute_hvnl(&spec, &inv1, 2)),
+            ("vvm", execute_vvm(&spec, &inv1, &inv2, 2)),
+            ("fnl", execute_fnl(&spec, &index, 2)),
+        ] {
+            assert!(
+                matches!(got, Err(Error::CostOverrun { .. })),
+                "{name}: {got:?}"
+            );
+        }
     }
 
     #[test]

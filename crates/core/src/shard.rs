@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 use textjoin_collection::{Collection, CollectionProfile, Document, DocumentStoreBuilder};
-use textjoin_common::{DocId, Error, ICell, Result, TermId};
+use textjoin_common::{DocId, ICell, Result, TermId};
 use textjoin_costmodel::comm::CommParams;
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_obs::{LiveRegistry, QueryTicket, TicketGuard};
@@ -870,89 +870,87 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
     }
 
     let outer_ids: Vec<DocId> = spec.outer_live_ids();
+    let num_outer = outer_ids.len() as u64;
     // Size the outer chunking against the *most demanding* fragment pair,
     // so no site's accumulator overflows its budget; memory pressure at
     // run time repartitions adaptively like the sequential executor.
-    let mut partitions = 1u64;
+    let specs = std::slice::from_ref(spec);
+    let mut first = 1u64;
     for site in &sites {
-        partitions = partitions.max(vvm::estimate_partitions(
-            spec,
-            &site.inner,
-            &site.outer,
-            outer_ids.len() as u64,
-            1,
-        )?);
+        let site_partitions =
+            vvm::estimate_partitions(specs, &[num_outer], &site.inner, &site.outer, 1)?;
+        first = first.max(site_partitions);
     }
     let (_guards, tickets) = register_tickets(spec, Algorithm::Vvm, opts, s);
-    let mut retries = vvm::Repartitions::default();
-    loop {
-        let mut acc_shipped = vec![0u64; s];
-        match run_vvm_passes(
-            spec,
-            &sites,
-            &outer_ids,
-            partitions,
-            &net,
-            &tickets,
-            &mut acc_shipped,
-        ) {
-            Ok((rows, mut stats, cancelled)) => {
-                let mut reports = Vec::with_capacity(s);
-                for (k, site) in sites.iter().enumerate() {
-                    let io = site.disk.stats();
-                    reports.push(ShardReport {
-                        shard: k,
-                        io,
-                        pages_io: io.cost(spec.sys.alpha),
-                        shipped_pages: site.shipped + acc_shipped[k],
-                        quality: ResultQuality::Full,
-                    });
-                }
-                stats.skipped_docs = stats.skipped_docs.saturating_add(mat_skipped);
-                stats.wall_ns = started.elapsed().as_nanos() as u64 + net.elapsed_ns();
-                retries.record(&mut stats);
-                let quality = if cancelled || mat_skipped > 0 {
-                    ResultQuality::Partial
-                } else {
-                    stats.quality()
-                };
-                // Degraded skips happened on whichever site's cursor hit
-                // them; per-site quality mirrors the global skip counters.
-                if stats.skipped_entries > 0 {
-                    for r in &mut reports {
-                        if r.io.total_reads() > 0 {
-                            r.quality = quality;
-                        }
-                    }
-                }
-                let max_shard_pages = reports.iter().map(|r| r.pages_io).fold(0.0, f64::max);
-                return Ok(ShardedOutcome {
-                    outcome: JoinOutcome {
-                        result: JoinResult::from_rows(rows),
-                        quality,
-                        stats,
-                    },
-                    shards: reports,
-                    shipped_pages: net.shipped_pages(),
-                    comm_cost: opts.comm.beta * net.shipped_pages() as f64,
-                    max_shard_pages,
-                    network_ns: net.elapsed_ns(),
-                    partitioning: opts.partitioning,
-                });
+    let mut acc_shipped = vec![0u64; s];
+    let (rows, mut stats, cancelled) = vvm::with_repartitions(
+        first,
+        num_outer,
+        |partitions, retries| {
+            acc_shipped.fill(0);
+            let (rows, mut stats, cancelled) = run_vvm_passes(
+                spec,
+                &sites,
+                &outer_ids,
+                partitions,
+                &net,
+                &tickets,
+                &mut acc_shipped,
+            )?;
+            retries.record(&mut stats);
+            Ok((rows, stats, cancelled))
+        },
+        // Every attempt starts from reset site tallies, so they hold
+        // exactly the abandoned attempt's reads.
+        || {
+            let mut spent = IoStats::default();
+            for site in &sites {
+                spent.merge(&site.disk.stats());
             }
-            Err(Error::InsufficientMemory { .. }) if partitions < outer_ids.len() as u64 => {
-                // Every attempt starts from reset site tallies, so they
-                // hold exactly the abandoned attempt's reads.
-                let mut spent = IoStats::default();
-                for site in &sites {
-                    spent.merge(&site.disk.stats());
-                }
-                retries.note(spent.cost(spec.sys.alpha));
-                partitions = (partitions * 2).min(outer_ids.len() as u64);
+            spent.cost(spec.sys.alpha)
+        },
+    )?;
+    let mut reports = Vec::with_capacity(s);
+    for (k, site) in sites.iter().enumerate() {
+        let io = site.disk.stats();
+        reports.push(ShardReport {
+            shard: k,
+            io,
+            pages_io: io.cost(spec.sys.alpha),
+            shipped_pages: site.shipped + acc_shipped[k],
+            quality: ResultQuality::Full,
+        });
+    }
+    stats.skipped_docs = stats.skipped_docs.saturating_add(mat_skipped);
+    stats.wall_ns = started.elapsed().as_nanos() as u64 + net.elapsed_ns();
+    let quality = if cancelled || mat_skipped > 0 {
+        ResultQuality::Partial
+    } else {
+        stats.quality()
+    };
+    // Degraded skips happened on whichever site's cursor hit them;
+    // per-site quality mirrors the global skip counters.
+    if stats.skipped_entries > 0 {
+        for r in &mut reports {
+            if r.io.total_reads() > 0 {
+                r.quality = quality;
             }
-            Err(e) => return Err(e),
         }
     }
+    let max_shard_pages = reports.iter().map(|r| r.pages_io).fold(0.0, f64::max);
+    Ok(ShardedOutcome {
+        outcome: JoinOutcome {
+            result: JoinResult::from_rows(rows),
+            quality,
+            stats,
+        },
+        shards: reports,
+        shipped_pages: net.shipped_pages(),
+        comm_cost: opts.comm.beta * net.shipped_pages() as f64,
+        max_shard_pages,
+        network_ns: net.elapsed_ns(),
+        partitioning: opts.partitioning,
+    })
 }
 
 /// Runs all merge passes at `partitions` outer chunks; returns merged rows

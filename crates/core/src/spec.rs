@@ -507,28 +507,33 @@ impl<'a> JoinSpec<'a> {
                 }
             }
             OuterDocs::Selected(ids) => {
-                let store = self.outer.store();
-                match delta {
-                    None => Box::new(
-                        ids.iter()
-                            .map(move |&id| store.read_doc_direct(id).map(|d| (id, d))),
-                    ),
-                    Some(overlay) => Box::new(ids.iter().filter_map(move |&id| {
-                        if overlay.is_deleted(id) {
-                            return None;
-                        }
-                        if !store.contains(id) {
-                            match overlay.doc(id) {
-                                Ok(Some(doc)) => return Some(Ok((id, doc))),
-                                Ok(None) => {} // unknown id: surface the base store's error
-                                Err(e) => return Some(Err(e)),
-                            }
-                        }
-                        Some(store.read_doc_direct(id).map(|d| (id, d)))
-                    })),
+                let spec = *self;
+                Box::new(ids.iter().filter_map(move |&id| {
+                    let doc = spec.read_selected_outer(id)?;
+                    Some(doc.map(|d| (id, d)))
+                }))
+            }
+        }
+    }
+
+    /// Reads one selected outer document directly (random I/O): from the
+    /// outer overlay when the base store does not hold it, else from the
+    /// store. `None` for a document the overlay tombstoned.
+    pub(crate) fn read_selected_outer(&self, id: DocId) -> Option<Result<Document>> {
+        let store = self.outer.store();
+        if let Some(overlay) = self.outer_delta {
+            if overlay.is_deleted(id) {
+                return None;
+            }
+            if !store.contains(id) {
+                match overlay.doc(id) {
+                    Ok(Some(doc)) => return Some(Ok(doc)),
+                    Ok(None) => {} // unknown id: surface the base store's error
+                    Err(e) => return Some(Err(e)),
                 }
             }
         }
+        Some(store.read_doc_direct(id))
     }
 
     /// A lazy iterator over the participating inner documents: the base

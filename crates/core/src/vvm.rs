@@ -22,12 +22,26 @@
 //! number. The memory tracker is charged the paper's 4 bytes for each
 //! pair the rows mark non-zero, so the partition count and the memory
 //! high-water mark follow the paper's accounting, not the rows' real size.
+//!
+//! `run` is the one VVM engine, sequential (one query) and batched (`N`
+//! queries over one collection pair) alike: all queries' accumulators
+//! share the similarity budget of one merge scan, so the partitions are
+//! sized on the pooled `Σᵢ SMᵢ` and pass `k` serves chunk `k` of every
+//! query (`costmodel::vvs_batch`). It opens the `vvm` span (with the
+//! partition count) and one `vvm.merge_pass` span per pass, checkpoints
+//! before every pass through `batch::BatchProgress` (so a token set
+//! before the run stops it before the first pass) and assembles the
+//! outcome once (`batch::finish`). [`execute`] is the batch of one. The
+//! re-partition loop, `with_repartitions`, and the per-term merge,
+//! `merge_accumulate`, also drive the parallel and sharded VVM.
 
+use crate::batch::{self, BatchOutcome, BatchProgress, QueryAcc};
 use crate::kernel::SimRows;
 use crate::report::observe_phase_sim_io;
-use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::{Checkpoint, JoinSpec};
+use crate::result::{ExecStats, JoinOutcome, Match};
+use crate::spec::JoinSpec;
 use crate::topk::TopK;
+use std::cell::Cell;
 use std::time::Instant;
 use textjoin_common::{DocId, Error, ICell, Result, TermId, SIM_VALUE_BYTES};
 use textjoin_costmodel::Algorithm;
@@ -73,53 +87,101 @@ impl Repartitions {
     }
 }
 
-/// Executes the join with VVM.
+/// Executes the join with VVM: the engine run as a batch of one.
 pub fn execute(
     spec: &JoinSpec<'_>,
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
 ) -> Result<JoinOutcome> {
-    let outer_ids: Vec<DocId> = spec.outer_live_ids();
+    run(std::slice::from_ref(spec), inner_inv, outer_inv).map(BatchOutcome::into_single)
+}
 
-    let disk = spec.inner.store().disk();
-    let mut partitions =
-        estimate_partitions(spec, inner_inv, outer_inv, outer_ids.len() as u64, 1)?;
+/// Runs VVM for `specs` (validated as one batch): all queries'
+/// accumulators share the similarity budget of one merge scan, so both
+/// inverted files are read `⌈Σᵢ SMᵢ/M⌉` times for the whole batch
+/// (`costmodel::vvs_batch`), re-partitioned more finely when the pooled δ
+/// estimate proves too optimistic.
+pub(crate) fn run(
+    specs: &[JoinSpec<'_>],
+    inner_inv: &InvertedFile,
+    outer_inv: &InvertedFile,
+) -> Result<BatchOutcome> {
+    batch::validate(specs)?;
+    let outer_ids: Vec<Vec<DocId>> = specs.iter().map(|s| s.outer_live_ids()).collect();
+    let num_outer: Vec<u64> = outer_ids.iter().map(|ids| ids.len() as u64).collect();
+    let first = estimate_partitions(specs, &num_outer, inner_inv, outer_inv, 1)?;
+    let longest = num_outer.iter().copied().max().unwrap_or(0);
+    let disk = specs[0].inner.store().disk();
+    let attempt_io = Cell::new(disk.stats());
+    with_repartitions(
+        first,
+        longest,
+        |partitions, retries| {
+            attempt_io.set(disk.stats());
+            merge_passes(specs, inner_inv, outer_inv, &outer_ids, partitions, retries)
+        },
+        || {
+            disk.stats()
+                .since(&attempt_io.get())
+                .cost(specs[0].sys.alpha)
+        },
+    )
+}
+
+/// The one re-partition loop of every VVM mode: runs `attempt` at
+/// `first` outer partitions and, while an attempt fails with
+/// `InsufficientMemory` (the δ estimate undershot the real non-zero
+/// density), doubles the count up to `max` and reruns — more scans, as
+/// the paper's ⌈SM/M⌉ analysis predicts. `spent` measures the pages the
+/// failed attempt read; each attempt receives the tally of those before
+/// it, to report beside its own statistics.
+pub(crate) fn with_repartitions<T>(
+    first: u64,
+    max: u64,
+    mut attempt: impl FnMut(u64, Repartitions) -> Result<T>,
+    mut spent: impl FnMut() -> f64,
+) -> Result<T> {
+    let mut partitions = first;
     let mut retries = Repartitions::default();
     loop {
-        let before = disk.stats();
-        match run(spec, inner_inv, outer_inv, &outer_ids, partitions, retries) {
-            Ok(outcome) => return Ok(outcome),
-            Err(Error::InsufficientMemory { .. }) if partitions < outer_ids.len() as u64 => {
-                // The δ estimate undershot the real non-zero density;
-                // re-partition more finely and rerun (costs more scans, as
-                // the paper's ⌈SM/M⌉ analysis predicts).
-                retries.note(disk.stats().since(&before).cost(spec.sys.alpha));
-                partitions = (partitions * 2).min(outer_ids.len() as u64);
+        match attempt(partitions, retries) {
+            Err(Error::InsufficientMemory { .. }) if partitions < max => {
+                retries.note(spent());
+                partitions = (partitions * 2).min(max);
             }
-            Err(e) => return Err(e),
+            done => return done,
         }
     }
 }
 
-/// `⌈SM / M⌉` from measured statistics — the paper's partition estimate.
-/// With `workers > 1` both the similarity space and the buffer budget are
-/// divided evenly: each term-partitioned worker holds roughly `SM/w`
-/// accumulator bytes against its `B/w`-page share.
+/// `⌈Σᵢ SMᵢ / M⌉` from measured statistics — the paper's partition
+/// estimate, pooled over a batch: every query's accumulators compete for
+/// the similarity budget of the same scan. `num_outer` holds each query's
+/// participating outer document count. With `workers > 1` both the
+/// similarity space and the buffer budget are divided evenly: each
+/// term-partitioned worker holds roughly `SM/w` accumulator bytes against
+/// its `B/w`-page share.
 pub(crate) fn estimate_partitions(
-    spec: &JoinSpec<'_>,
+    specs: &[JoinSpec<'_>],
+    num_outer: &[u64],
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
-    num_outer: u64,
     workers: u64,
 ) -> Result<u64> {
-    let p = spec.sys.page_size as f64;
-    let n1 = spec.inner.store().num_docs() as f64;
-    let sm =
-        SIM_VALUE_BYTES as f64 * spec.query.delta * n1 * num_outer as f64 / (p * workers as f64);
+    let spec0 = &specs[0];
+    let p = spec0.sys.page_size as f64;
+    let n1 = spec0.inner.store().num_docs() as f64;
+    let sm: f64 = specs
+        .iter()
+        .zip(num_outer)
+        .map(|(s, &n)| {
+            SIM_VALUE_BYTES as f64 * s.query.delta * n1 * n as f64 / (p * workers as f64)
+        })
+        .sum();
     // Size against the smallest worker share of the exact budget split
     // (remainder pages go to the lower-indexed workers), so the partition
     // count is safe for every worker.
-    let min_share = crate::parallel::buffer_shares(spec.sys.buffer_pages, workers as usize)
+    let min_share = crate::parallel::buffer_shares(spec0.sys.buffer_pages, workers as usize)
         .into_iter()
         .min()
         .expect("at least one worker");
@@ -132,10 +194,11 @@ pub(crate) fn estimate_partitions(
                 + outer_inv.avg_entry_pages().ceil()
                 + 1.0) as u64
                 * workers,
-            available_pages: spec.sys.buffer_pages,
+            available_pages: spec0.sys.buffer_pages,
         });
     }
-    Ok(((sm / m).ceil() as u64).clamp(1, num_outer.max(1)))
+    let longest = num_outer.iter().copied().max().unwrap_or(0);
+    Ok(((sm / m).ceil() as u64).clamp(1, longest.max(1)))
 }
 
 /// Holds the next readable entry of one inverted-file scan. In degraded
@@ -251,139 +314,171 @@ impl<B: Iterator<Item = Result<(TermId, Vec<ICell>)>>> Iterator for MergedEntrie
     }
 }
 
-fn run(
-    spec: &JoinSpec<'_>,
+/// One attempt at `partitions` outer chunks per query: pass `k` merges
+/// both inverted files once and serves chunk `k` of every query. A query
+/// whose outer set is exhausted contributes an empty chunk (and skips the
+/// pass in its own accounting). Fails with `InsufficientMemory` when the
+/// accumulators outgrow the budget, for `with_repartitions` to re-partition.
+fn merge_passes(
+    specs: &[JoinSpec<'_>],
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
-    outer_ids: &[DocId],
+    outer_ids: &[Vec<DocId>],
     partitions: u64,
     retries: Repartitions,
-) -> Result<JoinOutcome> {
+) -> Result<BatchOutcome> {
     let started = Instant::now();
-    let mut root = Tracer::maybe(spec.trace, "vvm");
+    let spec0 = &specs[0];
+    let mut root = Tracer::maybe(spec0.trace, "vvm");
     if root.is_enabled() {
         root.record("partitions", partitions);
     }
     retries.trace(&mut root);
-    let disk = spec.inner.store().disk();
+    let disk = spec0.inner.store().disk();
     let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec.sys);
+    let mut progress = BatchProgress::new(specs);
+    let tracker = MemTracker::new(&spec0.sys);
     // Entry buffers: one current entry per file, sized by the largest.
     // (The paper budgets ⌈J1⌉ + ⌈J2⌉ — the average; we hold the max so the
     // budget is strict.)
     let entry_buf_bytes = max_entry_bytes(inner_inv) + max_entry_bytes(outer_inv);
     tracker.allocate(entry_buf_bytes.max(1), "VVM entry buffers")?;
-    tracker.allocate(TopK::budget_bytes(spec.query.lambda), "VVM result heap")?;
+    // One result heap lives at a time; the batch's largest λ sizes it.
+    let heap_bytes = specs.iter().map(|s| TopK::budget_bytes(s.query.lambda));
+    tracker.allocate(heap_bytes.max().unwrap_or(0), "VVM result heap")?;
 
-    let mut rows: Vec<(DocId, Vec<Match>)> = Vec::new();
-    let chunk_size = (outer_ids.len() as u64).div_ceil(partitions).max(1) as usize;
+    let chunk_sizes: Vec<usize> = outer_ids
+        .iter()
+        .map(|ids| (ids.len() as u64).div_ceil(partitions).max(1) as usize)
+        .collect();
+    let mut accs: Vec<QueryAcc> = specs.iter().map(|_| QueryAcc::default()).collect();
     let mut passes = 0u64;
-    let mut sim_ops = 0u64;
     // Accumulated across passes: a corrupt entry that survives the whole
-    // run is skipped (and counted) once per rescan.
+    // run is skipped (and counted) once per rescan. The scans are shared,
+    // so a skip degrades every query.
     let mut skipped_entries = 0u64;
-    let mut progress = Checkpoint::new();
-    let mut cancelled = false;
-    // One row per outer document of a chunk, reused by every pass.
-    let mut sims = SimRows::new(spec.inner_id_bound());
+    // One accumulator table per query, reused by every pass.
+    let mut sims: Vec<SimRows> = specs
+        .iter()
+        .map(|s| SimRows::new(s.inner_id_bound()))
+        .collect();
+    let mut sim_ops = vec![0u64; specs.len()];
+    // Pass boundaries are the checkpoints: each merge pass costs I1 + I2
+    // pages, so a partition-count blow-up is caught after the first extra
+    // pass. A latched query contributes an empty chunk from here on, so
+    // the shared scan stops doing its work while sibling chunk boundaries
+    // stay where an uncancelled run puts them.
+    let checkpoint = |progress: &mut BatchProgress, pass: u64| {
+        let cost = disk.stats().since(&start_io).cost(spec0.sys.alpha);
+        progress.observe(specs, cost, || format!("vvm.merge_pass {pass}"))
+    };
 
-    for chunk in outer_ids.chunks(chunk_size) {
+    for k in 0..partitions as usize {
+        if checkpoint(&mut progress, passes + 1)? {
+            break;
+        }
+        let chunks: Vec<&[DocId]> = outer_ids
+            .iter()
+            .zip(&chunk_sizes)
+            .zip(&progress.cancelled)
+            .map(|((ids, &cs), &cancelled)| {
+                if cancelled {
+                    return &[] as &[DocId];
+                }
+                &ids[(k * cs).min(ids.len())..((k + 1) * cs).min(ids.len())]
+            })
+            .collect();
+        if chunks.iter().all(|c| c.is_empty()) {
+            break;
+        }
         passes += 1;
+        for (acc, c) in accs.iter_mut().zip(&chunks) {
+            acc.passes += u64::from(!c.is_empty());
+        }
         let mut pass_span = root.child("vvm.merge_pass");
         let pass_io = disk.stats();
-        let ops_before = sim_ops;
+        let ops_before: u64 = sim_ops.iter().sum();
 
         let inner_cur = EntryCursor::new(
             merged_entries(
-                inner_inv.scan_with_prefetch(spec.prefetch_metrics("inv1")),
-                spec.inner_delta,
+                inner_inv.scan_with_prefetch(spec0.prefetch_metrics("inv1")),
+                spec0.inner_delta,
                 0,
                 None,
             ),
-            spec,
+            spec0,
             &mut skipped_entries,
         )?;
         let outer_cur = EntryCursor::new(
             merged_entries(
-                outer_inv.scan_with_prefetch(spec.prefetch_metrics("inv2")),
-                spec.outer_delta,
+                outer_inv.scan_with_prefetch(spec0.prefetch_metrics("inv2")),
+                spec0.outer_delta,
                 0,
                 None,
             ),
-            spec,
+            spec0,
             &mut skipped_entries,
         )?;
         merge_accumulate(
-            std::slice::from_ref(spec),
+            specs,
             inner_cur,
             outer_cur,
-            &[chunk],
+            &chunks,
             &tracker,
-            std::slice::from_mut(&mut sims),
-            std::slice::from_mut(&mut sim_ops),
+            &mut sims,
+            &mut sim_ops,
             &mut skipped_entries,
         )?;
 
         // Emit this subcollection's results.
-        tracker.release(sims.nonzero() * ACC_BYTES);
-        emit_chunk(spec, chunk, &mut sims, &mut rows);
+        for ((spec, chunk), (sims, acc)) in specs
+            .iter()
+            .zip(&chunks)
+            .zip(sims.iter_mut().zip(accs.iter_mut()))
+        {
+            tracker.release(sims.nonzero() * ACC_BYTES);
+            emit_chunk(spec, chunk, sims, &mut acc.rows);
+        }
         if pass_span.is_enabled() {
             let d = disk.stats().since(&pass_io);
-            pass_span.record("outer_docs", chunk.len() as u64);
+            let outer_docs = chunks.iter().map(|c| c.len() as u64).sum();
+            pass_span.record("outer_docs", outer_docs);
             pass_span.record("seq_reads", d.seq_reads);
             pass_span.record("rand_reads", d.rand_reads);
-            pass_span.record("sim_ops", sim_ops - ops_before);
-            observe_phase_sim_io(spec.trace, "vvm.merge_pass", &d, spec.sys.alpha);
-        }
-        drop(pass_span);
-        // Watchdog/introspection checkpoint: each merge pass costs I1 + I2
-        // pages, so a partition-count blow-up is caught after the first
-        // extra pass. A cancel keeps the chunks already emitted.
-        match spec.checkpoint(
-            &mut progress,
-            disk.stats().since(&start_io).cost(spec.sys.alpha),
-            || format!("vvm.merge_pass {passes}"),
-        ) {
-            Err(Error::Cancelled { .. }) => {
-                cancelled = true;
-                break;
-            }
-            other => other?,
+            pass_span.record("sim_ops", sim_ops.iter().sum::<u64>() - ops_before);
+            observe_phase_sim_io(spec0.trace, "vvm.merge_pass", &d, spec0.sys.alpha);
         }
     }
+    // A closing checkpoint prices the last pass.
+    checkpoint(&mut progress, passes)?;
 
+    for (acc, &ops) in accs.iter_mut().zip(&sim_ops) {
+        acc.sim_ops = ops;
+        // VVM's merge only visits non-zero postings.
+        acc.cells_touched = ops;
+    }
     let io = disk.stats().since(&start_io);
     if root.is_enabled() {
         root.record("passes", passes);
         root.record("seq_reads", io.seq_reads);
         root.record("rand_reads", io.rand_reads);
-        root.record("sim_ops", sim_ops);
-        observe_phase_sim_io(spec.trace, "vvm", &io, spec.sys.alpha);
+        root.record("sim_ops", sim_ops.iter().sum());
+        observe_phase_sim_io(spec0.trace, "vvm", &io, spec0.sys.alpha);
     }
-    let mut stats = ExecStats {
+    let mut outcome = batch::finish(
+        Algorithm::Vvm,
+        spec0.sys.alpha,
+        accs,
+        &progress.cancelled,
         io,
-        cost: io.cost(spec.sys.alpha),
-        mem_high_water_bytes: tracker.high_water(),
         passes,
-        sim_ops,
-        // VVM's merge only visits non-zero postings.
-        cells_touched: sim_ops,
-        // VVM never reads documents, only inverted files.
+        tracker.high_water(),
+        0,
         skipped_entries,
-        wall_ns: started.elapsed().as_nanos() as u64,
-        ..ExecStats::zero(Algorithm::Vvm)
-    };
-    retries.record(&mut stats);
-    let quality = if cancelled {
-        ResultQuality::Partial
-    } else {
-        stats.quality()
-    };
-    Ok(JoinOutcome {
-        result: JoinResult::from_rows(rows),
-        quality,
-        stats,
-    })
+        started,
+    );
+    retries.record(&mut outcome.stats);
+    Ok(outcome)
 }
 
 /// One term-ordered merge over a pair of entry streams, accumulating each

@@ -7,9 +7,8 @@ use crate::planner::{
 };
 use textjoin_common::{Error, QueryParams, Result, Score, SystemParams};
 use textjoin_core::{
-    batch, execute_sharded, fnl, hhnl, hvnl, parallel, vvm, Algorithm, BatchOptions, ExecStats,
-    IoScenario, JoinResult, JoinSpec, OuterDocs, ResultQuality, ShardOptions, ShardPartitioning,
-    ShardReport,
+    batch, execute_sharded, fnl, hhnl, hvnl, parallel, vvm, Algorithm, ExecStats, IoScenario,
+    JoinResult, JoinSpec, OuterDocs, ResultQuality, ShardOptions, ShardPartitioning, ShardReport,
 };
 use textjoin_costmodel::Algorithm as Alg;
 use textjoin_obs::{LiveRegistry, TicketGuard};
@@ -588,7 +587,7 @@ fn execute_batch_plan_inner(
 
     let run_alg = |alg: Alg| match alg {
         Alg::Hhnl => batch::execute_hhnl(&specs),
-        Alg::Hvnl => batch::execute_hvnl(&specs, &inner_tc.inverted, BatchOptions::default()),
+        Alg::Hvnl => batch::execute_hvnl(&specs, &inner_tc.inverted),
         Alg::Vvm => batch::execute_vvm(&specs, &inner_tc.inverted, &outer_tc.inverted),
         Alg::Fnl => batch::execute_fnl(&specs, &inner_tc.fnl),
     };

@@ -19,8 +19,8 @@ use std::sync::Arc;
 use textjoin::collection::{Collection, SynthSpec};
 use textjoin::common::{CollectionStats, QueryParams, SystemParams};
 use textjoin::core::{
-    batch, execute_sharded, fnl, hhnl, hvnl, parallel, vvm, Algorithm, BatchOptions, ExecStats,
-    JoinSpec, ShardOptions,
+    batch, execute_sharded, fnl, hhnl, hvnl, parallel, vvm, Algorithm, ExecStats, JoinSpec,
+    ShardOptions,
 };
 use textjoin::invfile::{FnlIndex, InvertedFile};
 use textjoin::obs::Tracer;
@@ -167,11 +167,7 @@ fn term_at_a_time_io_schedule_is_pinned() {
     let got = [
         run(&mut || hvnl::execute(&single, inv1).unwrap().stats),
         run(&mut || vvm::execute(&single, inv1, inv2).unwrap().stats),
-        run(&mut || {
-            batch::execute_hvnl(&specs, inv1, BatchOptions::default())
-                .unwrap()
-                .stats
-        }),
+        run(&mut || batch::execute_hvnl(&specs, inv1).unwrap().stats),
         run(&mut || batch::execute_vvm(&specs, inv1, inv2).unwrap().stats),
         run(&mut || parallel::execute_hvnl(&single, inv1, 2).unwrap().stats),
         run(&mut || parallel::execute_vvm(&single, inv1, inv2, 2).unwrap().stats),

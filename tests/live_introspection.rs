@@ -326,3 +326,37 @@ fn scrape_endpoint_agrees_with_registry_snapshots() {
     assert!(metrics.contains("queries_cancelled 1"), "{metrics}");
     server.stop();
 }
+
+/// Every query of a batch carries its own ticket. The batch's checkpoints
+/// split the shared reads, setup included, across the live queries, so the
+/// tickets together end within a page of the batch's cost.
+#[test]
+fn batch_tickets_sum_to_the_batch_cost() {
+    let f = fixture(11);
+    for alg in [Algorithm::Hhnl, Algorithm::Hvnl, Algorithm::Fnl] {
+        let live = LiveRegistry::new();
+        let base = JoinSpec::new(&f.c1, &f.c2)
+            .with_sys(f.sys)
+            .with_query(QueryParams::paper_base().with_lambda(3));
+        let guards: Vec<_> = ["first", "second"]
+            .into_iter()
+            .map(|name| live.register(name, "c1 ⋈ c2", alg.to_string(), None, None, 1))
+            .collect();
+        let specs: Vec<JoinSpec<'_>> = guards
+            .iter()
+            .map(|g| base.with_ticket(g.ticket()))
+            .collect();
+        let outcome = match alg {
+            Algorithm::Hhnl => textjoin::core::batch::execute_hhnl(&specs),
+            Algorithm::Hvnl => textjoin::core::batch::execute_hvnl(&specs, &f.inv1),
+            _ => textjoin::core::batch::execute_fnl(&specs, &f.fnl1),
+        }
+        .unwrap();
+        let tickets: f64 = guards.iter().map(|g| g.ticket().pages()).sum();
+        assert!(
+            tickets > 0.0 && (tickets - outcome.stats.cost).abs() <= 1.0,
+            "{alg}: tickets saw {tickets} pages, the batch cost {}",
+            outcome.stats.cost
+        );
+    }
+}
